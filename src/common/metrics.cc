@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -15,16 +16,19 @@ namespace dpcube {
 namespace metrics {
 
 void LatencyHistogram::Record(double seconds) {
-  const double micros = seconds * 1e6;
-  int bucket = 0;
-  if (micros >= 1.0) {
-    bucket = std::min(kBuckets - 1, static_cast<int>(std::log2(micros)));
-  }
+  const std::uint64_t nanos =
+      seconds > 0.0 ? static_cast<std::uint64_t>(std::llround(seconds * 1e9))
+                    : 0;
+  // Bucket i holds [2^i, 2^(i+1)) whole microseconds: floor(log2(m)) is
+  // bit_width(m) - 1.
+  const std::uint64_t micros = nanos / 1000;
+  const int bucket =
+      micros == 0 ? 0
+                  : std::min(kBuckets - 1,
+                             static_cast<int>(std::bit_width(micros)) - 1);
   buckets_[static_cast<std::size_t>(bucket)].fetch_add(
       1, std::memory_order_relaxed);
-  const double rounded = micros > 0.0 ? std::llround(micros) : 0;
-  sum_micros_.fetch_add(static_cast<std::uint64_t>(rounded),
-                        std::memory_order_relaxed);
+  sum_nanos_.fetch_add(nanos, std::memory_order_relaxed);
 }
 
 std::uint64_t LatencyHistogram::count() const {
@@ -284,8 +288,7 @@ void AppendHistogram(std::string* out, const std::string& name,
   }
   AppendSample(out, name + "_bucket", labels + sep + "le=\"+Inf\"",
                static_cast<double>(cumulative));
-  AppendSample(out, name + "_sum", labels,
-               static_cast<double>(histogram.sum_micros()));
+  AppendSample(out, name + "_sum", labels, histogram.sum_micros());
   AppendSample(out, name + "_count", labels,
                static_cast<double>(cumulative));
 }

@@ -12,10 +12,10 @@
 //   * rendering may lock (it walks the registry under a mutex), because
 //     a scrape happens a few times a minute, not a million times a
 //     second;
-//   * collaborators that already own their counters (ServerStats,
-//     AdmissionController, MarginalCache, ThreadPool) register
-//     callback-backed views instead of duplicating state, so the
-//     exported numbers can never drift from the STATS verb's.
+//   * collaborators that already own their counters (the serving frame
+//     counters, AdmissionController, MarginalCache, ThreadPool)
+//     register callback-backed views instead of duplicating state, so
+//     the exported numbers can never drift from the STATS verb's.
 //
 // The registry is deliberately NOT a process-wide singleton: the serving
 // stack creates one per SocketListener and threads it through, so tests
@@ -66,10 +66,12 @@ class LatencyHistogram {
 
   std::uint64_t count() const;
 
-  /// Total of all recorded samples in microseconds (each sample rounded
-  /// to the nearest microsecond), for the exposition's `_sum` series.
-  std::uint64_t sum_micros() const {
-    return sum_micros_.load(std::memory_order_relaxed);
+  /// Total of all recorded samples in microseconds, for the
+  /// exposition's `_sum` series. Samples accumulate in whole
+  /// nanoseconds, so sub-microsecond time is kept.
+  double sum_micros() const {
+    return static_cast<double>(sum_nanos_.load(std::memory_order_relaxed)) *
+           1e-3;
   }
 
   /// Approximate p-quantile (p clamped to [0, 1]) in microseconds,
@@ -99,7 +101,7 @@ class LatencyHistogram {
 
  private:
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> sum_micros_{0};
+  std::atomic<std::uint64_t> sum_nanos_{0};
 };
 
 /// Samples process resource usage from /proc/self (Linux). On platforms
@@ -166,9 +168,8 @@ class Registry {
                                const std::string& help,
                                std::function<double()> read);
 
-  /// Externally-owned histogram (e.g. ServerStats' members). `keepalive`
-  /// guards the histogram's lifetime: pass an aliasing shared_ptr to the
-  /// owning object.
+  /// Externally-owned histogram. The shared_ptr guards the histogram's
+  /// lifetime: pass an aliasing shared_ptr to the owning object.
   void RegisterExternalHistogram(
       const std::string& family, const std::string& labels,
       const std::string& help,

@@ -3,6 +3,7 @@
 #include "common/trace.h"
 
 #include <algorithm>
+#include <chrono>
 
 namespace dpcube {
 namespace trace {
@@ -23,6 +24,46 @@ const char* SpanName(Span span) {
       return "flush";
   }
   return "unknown";
+}
+
+std::int64_t NowNanos() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+std::array<std::uint64_t, kNumSpans> RequestTrace::SpanNanos() const {
+  const auto at = [this](Stamp s) {
+    return stamps[static_cast<std::size_t>(s)];
+  };
+  // Span i runs from boundary i to i + 1. Encoding is interleaved with
+  // the compute it follows, so its time is carved off the exec span's
+  // end.
+  std::array<std::int64_t, kNumSpans + 1> b{};
+  b[0] = at(Stamp::kRead);
+  b[1] = std::max(b[0], at(Stamp::kDecoded));
+  b[2] = std::max(b[1], at(Stamp::kAdmitted));
+  b[3] = std::max(b[2], at(Stamp::kExecStart));
+  b[5] = std::max(b[3], at(Stamp::kExecEnd));
+  b[4] = std::max(b[3], b[5] - static_cast<std::int64_t>(encode_nanos));
+  b[6] = std::max(b[5], at(Stamp::kFlushed));
+  std::array<std::uint64_t, kNumSpans> spans{};
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    spans[i] = static_cast<std::uint64_t>(b[i + 1] - b[i]);
+  }
+  return spans;
+}
+
+void RequestTrace::Seal(std::uint64_t slow_micros) {
+  const std::array<std::uint64_t, kNumSpans> spans = SpanNanos();
+  std::uint64_t elapsed = 0;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const std::uint64_t start_micros = elapsed / 1000;
+    elapsed += spans[i];
+    span_micros[i] = elapsed / 1000 - start_micros;
+  }
+  total_micros = elapsed / 1000;
+  slow = slow_micros > 0 && total_micros >= slow_micros;
 }
 
 std::uint64_t NextTraceId() {

@@ -24,7 +24,6 @@
 #ifndef DPCUBE_NET_CONNECTION_H_
 #define DPCUBE_NET_CONNECTION_H_
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -40,7 +39,6 @@
 #include "net/admission.h"
 #include "net/framing.h"
 #include "net/linger.h"
-#include "net/server_stats.h"
 #include "service/serve_protocol.h"
 
 namespace dpcube {
@@ -78,14 +76,14 @@ struct ServeContext {
   std::shared_ptr<const service::QueryService> service;
   std::shared_ptr<const service::BatchExecutor> executor;
   ThreadPool* pool = nullptr;
-  /// Request tracing (all optional). A non-null `trace_ring` switches
-  /// tracing on: every completed request then finalises a RequestTrace
-  /// into the ring, into the span/per-release metric families when
-  /// `trace_metrics` is set, and as one structured line to `access_log`
-  /// when that is set. `slow_query_micros` > 0 marks traces at or above
-  /// it as slow (reservoir candidates, WARN-level log lines).
+  /// Every serving metric, derived from each frame's RequestTrace. The
+  /// SocketListener always sets it; a Connection requires it.
+  std::shared_ptr<trace::ServingTraceMetrics> trace_metrics;
+  /// Optional sinks for completed traces: the /tracez ring and one
+  /// structured line per request to `access_log`. `slow_query_micros`
+  /// > 0 marks traces at or above it as slow (reservoir candidates,
+  /// WARN-level log lines).
   std::shared_ptr<trace::TraceRing> trace_ring;
-  std::shared_ptr<const trace::ServingTraceMetrics> trace_metrics;
   std::shared_ptr<logging::Logger> access_log;
   std::uint64_t slow_query_micros = 0;
   /// Non-null when `serve --state-dir` is in effect: sessions route
@@ -105,7 +103,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// close.
   Connection(UniqueFd fd, std::uint64_t id, const ServeContext& context,
              std::shared_ptr<AdmissionController> admission,
-             std::shared_ptr<ServerStats> stats,
              std::function<void()> wakeup, std::size_t max_frame_payload,
              std::shared_ptr<LingerSet> linger = nullptr);
   ~Connection();
@@ -156,13 +153,11 @@ class Connection : public std::enable_shared_from_this<Connection> {
     bool done = false;
     bool dispatched = false;
     bool admitted = false;  ///< Shed slots never touched the executor.
-    std::chrono::steady_clock::time_point arrival;
-    /// Per-request trace (only filled when the context carries a trace
-    /// ring). Written by the network thread before dispatch (identity,
-    /// decode/admit spans) and by the worker during Execute (queue,
-    /// compute, encode); the network thread reads it back only after
-    /// observing `done` under mu_, so the hand-off needs no extra
-    /// synchronisation.
+    /// The frame's timing record. Written by the network thread before
+    /// dispatch (identity, read/decoded/admitted stamps) and by the
+    /// worker during Execute (exec stamps, session fields); the network
+    /// thread reads it back only after observing `done` under mu_, so
+    /// the hand-off needs no extra synchronisation.
     trace::RequestTrace trace;
   };
 
@@ -179,8 +174,8 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void Execute(const std::shared_ptr<Slot>& slot);
 
   /// Encodes `slot`'s response (typed or pre-encoded) and appends one
-  /// response frame to the write buffer; when tracing, stamps the
-  /// response identity and moves the trace onto the pending-flush queue.
+  /// response frame to the write buffer, stamps the response identity
+  /// and moves the trace onto the pending-flush queue.
   /// Pump calls it while walking slots_, so it runs under mu_ even
   /// though the write buffer itself is network-thread-only.
   void EnqueueResponseFrame(Slot& slot) REQUIRES(mu_);
@@ -188,26 +183,22 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// Writes as much buffered output as the socket accepts.
   void FlushWrites();
 
-  /// Completes (flush span, total, slow flag) and publishes every
-  /// pending trace whose response bytes have fully left the socket.
-  /// Network thread only.
+  /// Stamps kFlushed on and publishes every pending trace whose
+  /// response bytes have fully left the socket. Network thread only.
   void FinalizeFlushedTraces();
 
-  /// Publishes one finished trace to the ring, the metric families, and
-  /// the access log.
+  /// Seals one flushed trace and publishes it to the span histograms,
+  /// the ring and the access log.
   void PublishTrace(trace::RequestTrace& finished);
 
   const std::uint64_t id_;
   UniqueFd fd_;
   ServeContext context_;
   std::shared_ptr<AdmissionController> admission_;
-  std::shared_ptr<ServerStats> stats_;
   const std::function<void()> wakeup_;
   const std::shared_ptr<LingerSet> linger_;
   service::ServeSession session_;
   FrameDecoder decoder_;
-
-  const bool traced_;  ///< context_.trace_ring != nullptr, cached.
 
   // --- network-thread-only state ---
   std::string write_buffer_;
@@ -216,16 +207,14 @@ class Connection : public std::enable_shared_from_this<Connection> {
   bool draining_ = false;
   bool dead_ = false;        ///< Socket error; discard everything.
   bool sent_decode_error_ = false;
-  /// When the current OnReadable pass pulled its bytes off the socket;
-  /// frames decoded in that pass stamp their decode span against it.
-  std::chrono::steady_clock::time_point read_start_;
+  /// When the current OnReadable pass began (steady-clock ns); frames
+  /// decoded in that pass take it as their kRead stamp.
+  std::int64_t read_start_ = 0;
   /// Traces whose response frames sit in the write buffer, FIFO. Each
-  /// finalises (flush span = enqueue -> last byte accepted by the
-  /// kernel) once `bytes_flushed_` reaches its cumulative byte target.
-  /// Dropped unpublished if the connection dies mid-flush.
+  /// is stamped kFlushed once `bytes_flushed_` reaches its cumulative
+  /// byte target. Dropped unpublished if the connection dies mid-flush.
   struct PendingTrace {
     std::uint64_t target_bytes = 0;
-    std::chrono::steady_clock::time_point enqueued;
     trace::RequestTrace trace;
   };
   std::deque<PendingTrace> pending_flush_;

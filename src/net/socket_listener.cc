@@ -41,14 +41,13 @@ namespace {
 // One snapshot line, shaped like every other protocol response. Takes
 // its collaborators as shared_ptrs so the closure installed into
 // sessions can outlive the listener (a pool task may answer STATS while
-// the server is tearing down). `verbs` reads the SAME registry-owned
-// counters /metrics exports, so the two views can never disagree.
+// the server is tearing down). `views` holds the SAME registry-owned
+// series /metrics exports, so the two views can never disagree.
 std::string FormatStats(
     const std::shared_ptr<AdmissionController>& admission,
-    const std::shared_ptr<ServerStats>& stats,
+    const std::shared_ptr<const trace::ServingTraceMetrics>& views,
     const std::shared_ptr<service::MarginalCache>& cache,
-    const std::shared_ptr<service::ReleaseStore>& store,
-    const std::shared_ptr<const service::SessionMetrics>& verbs) {
+    const std::shared_ptr<service::ReleaseStore>& store) {
   const service::CacheStats cs = cache->stats();
   const double lookups = static_cast<double>(cs.hits + cs.misses);
   char line[1024];
@@ -65,24 +64,24 @@ std::string FormatStats(
       static_cast<unsigned long long>(admission->rejected_connections()),
       admission->queued_requests(),
       static_cast<unsigned long long>(
-          stats->requests.load(std::memory_order_relaxed)),
+          views->requests.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
-          stats->frames_executed.load(std::memory_order_relaxed)),
+          views->frames_executed.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
-          stats->responses.load(std::memory_order_relaxed)),
+          views->responses.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(admission->shed_requests()),
       static_cast<unsigned long long>(admission->quota_denied()),
       store->size(), static_cast<unsigned long long>(cs.hits),
       static_cast<unsigned long long>(cs.misses),
-      stats->queue_latency.QuantileMicros(0.5),
-      stats->queue_latency.QuantileMicros(0.99),
-      stats->exec_latency.QuantileMicros(0.5),
-      stats->exec_latency.QuantileMicros(0.99),
-      stats->total_latency.QuantileMicros(0.5),
-      stats->total_latency.QuantileMicros(0.99),
+      views->queue_latency().QuantileMicros(0.5),
+      views->queue_latency().QuantileMicros(0.99),
+      views->exec_latency().QuantileMicros(0.5),
+      views->exec_latency().QuantileMicros(0.99),
+      views->total_latency().QuantileMicros(0.5),
+      views->total_latency().QuantileMicros(0.99),
       static_cast<unsigned long long>(admission->rate_denied()),
       lookups > 0.0 ? static_cast<double>(cs.hits) / lookups : 0.0);
-  if (verbs && len > 0 && static_cast<std::size_t>(len) < sizeof(line)) {
+  if (len > 0 && static_cast<std::size_t>(len) < sizeof(line)) {
     using service::RequestKind;
     for (const RequestKind kind :
          {RequestKind::kLoad, RequestKind::kUnload, RequestKind::kList,
@@ -92,7 +91,7 @@ std::string FormatStats(
           line + len, sizeof(line) - static_cast<std::size_t>(len),
           " verb_%s=%llu", service::VerbName(kind),
           static_cast<unsigned long long>(
-              verbs->request_count(kind)->value()));
+              views->verb_requests(static_cast<int>(kind))));
       if (len <= 0 || static_cast<std::size_t>(len) >= sizeof(line)) break;
     }
   }
@@ -219,7 +218,6 @@ SocketListener::SocketListener(ServerOptions options, ServeContext context)
     : options_(std::move(options)),
       context_(std::move(context)),
       admission_(std::make_shared<AdmissionController>(options_.admission)),
-      stats_(std::make_shared<ServerStats>()),
       registry_(std::make_shared<metrics::Registry>()),
       draining_flag_(std::make_shared<std::atomic<bool>>(false)),
       started_at_(std::chrono::steady_clock::now()),
@@ -245,19 +243,11 @@ SocketListener::SocketListener(ServerOptions options, ServeContext context)
     trace_ring_ = std::make_shared<trace::TraceRing>(
         options_.trace_ring_capacity, options_.trace_slowest_capacity);
     context_.trace_ring = trace_ring_;
-    // The deleter pins the registry: a connection (and its pool tasks)
-    // can outlive the listener, and RecordSpans dereferences
-    // registry-owned histograms.
-    context_.trace_metrics = std::shared_ptr<const trace::ServingTraceMetrics>(
-        new trace::ServingTraceMetrics(registry_.get()),
-        [registry = registry_](const trace::ServingTraceMetrics* p) {
-          delete p;
-        });
-    context_.slow_query_micros =
-        options_.slow_query_ms > 0
-            ? static_cast<std::uint64_t>(options_.slow_query_ms) * 1000
-            : 0;
   }
+  context_.slow_query_micros =
+      options_.slow_query_ms > 0
+          ? static_cast<std::uint64_t>(options_.slow_query_ms) * 1000
+          : 0;
   // Build-phase gauges for everything loaded before the server started;
   // the release-loaded hook covers runtime loads.
   for (const auto& info : context_.store->List()) {
@@ -268,50 +258,14 @@ SocketListener::SocketListener(ServerOptions options, ServeContext context)
 SocketListener::~SocketListener() = default;
 
 void SocketListener::RegisterServerMetrics() {
-  auto table = service::SessionMetrics::Create(registry_.get());
-  // The no-op deleter's captures pin the registry (and the table's own
-  // control block) for as long as any session holds the pointer table.
-  session_metrics_ = std::shared_ptr<const service::SessionMetrics>(
-      table.get(),
-      [registry = registry_, table](const service::SessionMetrics*) {});
-
-  // Frame-level counters: the ServerStats atomics stay authoritative
-  // (the connections bump them); the registry exports live views.
-  auto stats = stats_;
-  registry_->RegisterCallbackCounter(
-      "dpcube_frames_received_total", "",
-      "Protocol frames received, including shed ones.", [stats] {
-        return static_cast<double>(
-            stats->requests.load(std::memory_order_relaxed));
+  context_.trace_metrics = std::make_shared<trace::ServingTraceMetrics>(
+      registry_,
+      [](int verb) {
+        return service::VerbName(static_cast<service::RequestKind>(verb));
+      },
+      [](int code) {
+        return service::ErrorCodeName(static_cast<service::ErrorCode>(code));
       });
-  registry_->RegisterCallbackCounter(
-      "dpcube_frames_executed_total", "",
-      "Protocol frames that reached a session.", [stats] {
-        return static_cast<double>(
-            stats->frames_executed.load(std::memory_order_relaxed));
-      });
-  registry_->RegisterCallbackCounter(
-      "dpcube_responses_total", "", "Response frames enqueued for write.",
-      [stats] {
-        return static_cast<double>(
-            stats->responses.load(std::memory_order_relaxed));
-      });
-  // The per-phase histograms are owned by ServerStats; aliasing
-  // shared_ptrs export them without copying a sample.
-  registry_->RegisterExternalHistogram(
-      "dpcube_frame_latency_microseconds", "phase=\"queue\"",
-      "Frame latency by phase: queue (admission to worker), exec (on the "
-      "worker), total (arrival to response enqueued).",
-      std::shared_ptr<const LatencyHistogram>(stats_,
-                                              &stats_->queue_latency));
-  registry_->RegisterExternalHistogram(
-      "dpcube_frame_latency_microseconds", "phase=\"exec\"", "",
-      std::shared_ptr<const LatencyHistogram>(stats_,
-                                              &stats_->exec_latency));
-  registry_->RegisterExternalHistogram(
-      "dpcube_frame_latency_microseconds", "phase=\"total\"", "",
-      std::shared_ptr<const LatencyHistogram>(stats_,
-                                              &stats_->total_latency));
 
   // Admission state and spill counters.
   auto admission = admission_;
@@ -466,7 +420,7 @@ void SocketListener::InstallHttpRoutes() {
         tracez_hits->Increment();
         HttpResponse response;
         if (!ring) {
-          response.body = "tracing disabled (trace ring capacity 0)\n";
+          response.body = "trace ring disabled (trace ring capacity 0)\n";
           return response;
         }
         // ?verb=query&release=census filter both views (exact match).
@@ -595,8 +549,8 @@ std::string SocketListener::http_bound_address() const {
 }
 
 std::string SocketListener::FormatStatsLine() const {
-  return FormatStats(admission_, stats_, context_.cache, context_.store,
-                     session_metrics_);
+  return FormatStats(admission_, context_.trace_metrics, context_.cache,
+                     context_.store);
 }
 
 void SocketListener::Shutdown() {
@@ -643,14 +597,13 @@ void SocketListener::AcceptPending() {
     // carries worker completions, its linger set the eventual close.
     Poller& poller = *pollers_[next_poller_++ % pollers_.size()];
     auto connection = std::make_shared<Connection>(
-        std::move(fd), next_connection_id_++, context_, admission_, stats_,
+        std::move(fd), next_connection_id_++, context_, admission_,
         poller.MakeWakeup(), options_.max_frame_payload, poller.linger());
     connection->session().SetServerStatsHandler(
-        [admission = admission_, stats = stats_, cache = context_.cache,
-         store = context_.store, verbs = session_metrics_] {
-          return FormatStats(admission, stats, cache, store, verbs);
+        [admission = admission_, views = context_.trace_metrics,
+         cache = context_.cache, store = context_.store] {
+          return FormatStats(admission, views, cache, store);
         });
-    connection->session().SetMetrics(session_metrics_);
     // Runtime `load` requests register their release's build-phase
     // gauges too. Captures shared_ptrs only: the hook runs on pool
     // workers and may fire after the listener is gone.

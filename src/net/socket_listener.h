@@ -15,9 +15,10 @@
 //     ThreadPool; no network thread ever computes.
 //
 // The listener also owns the observability surface: a metrics::Registry
-// every collaborator registers into (per-verb counters and latency from
-// the sessions, callback gauges over admission/cache/pool state and the
-// per-poller connection counts, a /proc resource tracker) and — when
+// every collaborator registers into (the serving metrics derived from
+// each frame's RequestTrace, callback gauges over admission/cache/pool
+// state and the per-poller connection counts, a /proc resource tracker)
+// and — when
 // http_listen_address is set — an HttpEndpoint spliced into poller 0's
 // loop serving /metrics, /healthz, and /statusz. HTTP stays polled
 // during drain so probes see the 503 instead of a refused connection.
@@ -45,9 +46,7 @@
 #include "net/http_endpoint.h"
 #include "net/linger.h"
 #include "net/poller.h"
-#include "net/server_stats.h"
 #include "service/serve_config.h"
-#include "service/service_metrics.h"
 
 namespace dpcube {
 namespace net {
@@ -63,8 +62,8 @@ struct ServerOptions {
   /// open so load balancers need no secret.
   std::string http_token;
   /// Completed-request traces kept for /tracez (the "recent" view);
-  /// 0 disables request tracing entirely (no ring, no spans, no access
-  /// log records).
+  /// 0 disables the ring. Every frame is still timed: the span and
+  /// per-release series and the access log do not depend on it.
   std::size_t trace_ring_capacity = 256;
   /// Keep-slowest reservoir size for /tracez's "slowest" view.
   std::size_t trace_slowest_capacity = 16;
@@ -125,7 +124,10 @@ class SocketListener {
   std::string http_bound_address() const;
 
   const AdmissionController& admission() const { return *admission_; }
-  const ServerStats& stats() const { return *stats_; }
+  /// Every serving metric, with the frame counters STATS reports.
+  const trace::ServingTraceMetrics& stats() const {
+    return *context_.trace_metrics;
+  }
   /// The registry every server metric lives in (valid for the
   /// listener's lifetime; sessions keep it alive past that).
   const metrics::Registry& registry() const { return *registry_; }
@@ -152,28 +154,24 @@ class SocketListener {
   /// to the next poller round-robin) or gets a one-frame BUSY goodbye
   /// and a lingering close.
   void AcceptPending();
-  /// Registers every listener-level metric family (frame counters,
-  /// admission gauges, cache/pool/store stats, per-poller connection
-  /// gauges, resource tracker) into registry_ and resolves the
-  /// sessions' per-verb table.
+  /// Resolves the serving metrics into the context and registers every
+  /// other listener-level family (admission gauges, cache/pool/store
+  /// stats, per-poller connection gauges, resource tracker) into
+  /// registry_.
   void RegisterServerMetrics();
   /// Installs the /metrics, /healthz, /statusz, and /tracez routes on
   /// http_ (the first and last two behind the bearer token, when set).
   void InstallHttpRoutes();
 
   const ServerOptions options_;
-  /// Mutable (unlike before the tracing spine): the constructor and
-  /// Start() splice the trace ring, trace metrics, and access log into
-  /// the context BEFORE any connection copies it.
+  /// Mutable: the constructor and Start() splice the serving metrics,
+  /// trace ring, and access log into the context BEFORE any connection
+  /// copies it. The metrics keep registry_ alive, so a pool task
+  /// finishing after teardown can still record safely.
   ServeContext context_;
   std::shared_ptr<trace::TraceRing> trace_ring_;
   std::shared_ptr<AdmissionController> admission_;
-  std::shared_ptr<ServerStats> stats_;
   std::shared_ptr<metrics::Registry> registry_;
-  /// Per-verb pointer table shared by every session; its control block
-  /// keeps registry_ alive, so a pool task finishing after teardown can
-  /// still bump its counters safely.
-  std::shared_ptr<const service::SessionMetrics> session_metrics_;
   std::shared_ptr<metrics::ResourceTracker> resource_tracker_;
   std::unique_ptr<HttpEndpoint> http_;
   /// Set when drain begins; /healthz flips to 503 on it. shared_ptr so

@@ -30,6 +30,22 @@ const char* ErrorCodeName(ErrorCode code) {
   return "Unknown";
 }
 
+const char* VerbName(RequestKind kind) {
+  switch (kind) {
+    case RequestKind::kInvalid: return "invalid";
+    case RequestKind::kHello: return "hello";
+    case RequestKind::kLoad: return "load";
+    case RequestKind::kUnload: return "unload";
+    case RequestKind::kList: return "list";
+    case RequestKind::kQuery: return "query";
+    case RequestKind::kBatch: return "batch";
+    case RequestKind::kCacheStats: return "stats";
+    case RequestKind::kServerStats: return "server_stats";
+    case RequestKind::kQuit: return "quit";
+  }
+  return "invalid";
+}
+
 ErrorCode ToErrorCode(const Status& status) {
   switch (status.code()) {
     case StatusCode::kOk:

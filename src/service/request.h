@@ -87,6 +87,11 @@ enum class RequestKind {
   kQuit,         ///< quit | exit
 };
 
+/// Stable lowercase verb label for a request kind ("load", "query",
+/// "batch", ... — "invalid" for unparseable lines), used both as the
+/// Prometheus `verb` label and as the STATS verb's key names.
+const char* VerbName(RequestKind kind);
+
 /// One parsed request line. Which fields are meaningful depends on
 /// `kind`; everything else keeps its default.
 struct Request {

@@ -2,14 +2,17 @@
 
 #include "service/serve_protocol.h"
 
-#include <chrono>
 #include <istream>
 #include <ostream>
-#include <set>
 #include <utility>
 
 namespace dpcube {
 namespace service {
+
+static_assert(static_cast<int>(RequestKind::kQuit) < trace::kMaxVerbs &&
+                  static_cast<int>(ErrorCode::kInternal) <
+                      trace::kMaxErrorCodes,
+              "the frame trace's tallies must cover every verb and code");
 
 ServeSession::ServeSession(std::shared_ptr<ReleaseStore> store,
                            std::shared_ptr<MarginalCache> cache,
@@ -33,12 +36,10 @@ bool ServeSession::ProcessStream(std::istream& in, std::ostream& out,
     const std::vector<std::string> tokens = Tokenize(line);
     if (tokens.empty()) continue;
     const Request request = ParseRequestLine(line, tokens);
-    const bool timed = metrics_ != nullptr || active_trace_ != nullptr;
-    const auto started = timed ? std::chrono::steady_clock::now()
-                               : std::chrono::steady_clock::time_point();
     if (active_trace_) {
       // The frame's identity is its first request; a pipelined frame
-      // keeps the first line's verb/release (and adds their spans up).
+      // keeps the first line's verb/release and tallies every line.
+      ++active_trace_->verb_lines[static_cast<std::size_t>(request.kind)];
       if (active_trace_->verb.empty()) {
         active_trace_->verb = VerbName(request.kind);
       }
@@ -47,8 +48,6 @@ bool ServeSession::ProcessStream(std::istream& in, std::ostream& out,
         active_trace_->release = request.query.release;
       }
     }
-    const std::uint64_t encode_before =
-        active_trace_ ? active_trace_->span(trace::Span::kEncode) : 0;
     bool quit = false;
     if (request.kind == RequestKind::kBatch) {
       HandleBatch(request, in, out);
@@ -57,26 +56,6 @@ bool ServeSession::ProcessStream(std::istream& in, std::ostream& out,
     } else {
       Emit(ExecuteRequest(request), out);
       quit = request.kind == RequestKind::kQuit;
-    }
-    if (timed) {
-      const double seconds = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - started)
-                                 .count();
-      if (metrics_) {
-        metrics_->request_count(request.kind)->Increment();
-        metrics_->request_latency(request.kind)->Record(seconds);
-      }
-      if (active_trace_) {
-        // Compute is the line's wall-clock minus whatever Emit spent
-        // encoding, so the two spans partition the session's work.
-        const std::uint64_t line_micros =
-            static_cast<std::uint64_t>(seconds * 1e6);
-        const std::uint64_t encode_micros =
-            active_trace_->span(trace::Span::kEncode) - encode_before;
-        active_trace_->span_micros[static_cast<std::size_t>(
-            trace::Span::kCompute)] +=
-            line_micros > encode_micros ? line_micros - encode_micros : 0;
-      }
     }
     if (quit) {
       out.flush();
@@ -90,26 +69,33 @@ bool ServeSession::ProcessStream(std::istream& in, std::ostream& out,
 }
 
 void ServeSession::Emit(const Response& response, std::ostream& out) {
-  if (metrics_ && response.code != ErrorCode::kOk) {
-    metrics_->error_count(response.code)->Increment();
-  }
   if (active_trace_ == nullptr) {
     EncodeResponse(response, codec(), out);
     return;
   }
   // The frame's outcome is its first non-kOk response (or "Ok", filled
   // in by the connection when the trace finalises with none recorded).
-  if (response.code != ErrorCode::kOk && active_trace_->outcome.empty()) {
-    active_trace_->outcome = ErrorCodeName(response.code);
+  if (response.code != ErrorCode::kOk) {
+    ++active_trace_->errors[static_cast<std::size_t>(response.code)];
+    if (active_trace_->outcome.empty()) {
+      active_trace_->outcome = ErrorCodeName(response.code);
+    }
   }
-  const auto started = std::chrono::steady_clock::now();
+  const std::int64_t started = trace::NowNanos();
   EncodeResponse(response, codec(), out);
-  active_trace_->span_micros[static_cast<std::size_t>(
-      trace::Span::kEncode)] +=
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - started)
-              .count());
+  active_trace_->encode_nanos +=
+      static_cast<std::uint64_t>(trace::NowNanos() - started);
+}
+
+void ServeSession::TallyRelease(const std::string& release) {
+  if (active_trace_ == nullptr) return;
+  for (auto& [name, queries] : active_trace_->release_queries) {
+    if (name == release) {
+      ++queries;
+      return;
+    }
+  }
+  active_trace_->release_queries.emplace_back(release, 1);
 }
 
 void ServeSession::HandleHello(const Request& request, std::ostream& out) {
@@ -121,7 +107,7 @@ void ServeSession::HandleHello(const Request& request, std::ostream& out) {
   ack.request = RequestKind::kHello;
   ack.version = request.version;
   ack.codec = request.codec;
-  EncodeResponse(ack, codec(), out);
+  Emit(ack, out);
   codec_.store(request.codec, std::memory_order_release);
 }
 
@@ -180,20 +166,9 @@ Response ServeSession::ExecuteRequest(const Request& request) {
     case RequestKind::kQuery: {
       Response denied;
       if (!CheckQuota(request.query, &denied)) return denied;
-      if (!trace_metrics_) {
-        return Response::FromQuery(service_->Answer(request.query));
-      }
-      const auto started = std::chrono::steady_clock::now();
       Response answered = Response::FromQuery(service_->Answer(request.query));
-      // Unknown releases never mint per-release series: the name came
-      // off the wire and only the cardinality cap would bound it.
       if (answered.code != ErrorCode::kNotFound) {
-        const trace::ServingTraceMetrics::PerRelease series =
-            trace_metrics_->Release(request.query.release);
-        series.queries->Increment();
-        series.latency->Record(std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - started)
-                                   .count());
+        TallyRelease(request.query.release);
       }
       return answered;
     }
@@ -261,21 +236,16 @@ void ServeSession::HandleBatch(const Request& request, std::istream& in,
       admitted_queries.push_back(batch[i]);
     }
   }
-  const bool want_timing =
-      active_trace_ != nullptr || trace_metrics_ != nullptr;
   BatchTiming timing;
   const std::vector<QueryResponse> answers =
       admitted_queries.empty()
           ? std::vector<QueryResponse>{}
           : executor_->ExecuteBatch(admitted_queries,
-                                    want_timing ? &timing : nullptr);
-  // Releases that answered NotFound must not mint per-release series:
-  // the names came off the wire.
-  std::set<std::string> missing;
+                                    active_trace_ ? &timing : nullptr);
   for (std::size_t j = 0; j < admitted.size(); ++j) {
     responses[admitted[j]] = Response::FromQuery(answers[j]);
-    if (responses[admitted[j]].code == ErrorCode::kNotFound) {
-      missing.insert(admitted_queries[j].release);
+    if (responses[admitted[j]].code != ErrorCode::kNotFound) {
+      TallyRelease(admitted_queries[j].release);
     }
   }
   if (active_trace_) {
@@ -285,15 +255,6 @@ void ServeSession::HandleBatch(const Request& request, std::istream& in,
     }
     if (active_trace_->release.empty() && !batch.empty()) {
       active_trace_->release = batch.front().release;
-    }
-  }
-  if (trace_metrics_) {
-    for (const BatchGroupTiming& group : timing.groups) {
-      if (missing.count(group.release) != 0) continue;
-      const trace::ServingTraceMetrics::PerRelease series =
-          trace_metrics_->Release(group.release);
-      series.queries->Increment(group.queries);
-      series.latency->Record(static_cast<double>(group.micros) * 1e-6);
     }
   }
   for (const Response& response : responses) {

@@ -41,14 +41,12 @@
 #include <vector>
 
 #include "common/trace.h"
-#include "common/trace_metrics.h"
 #include "service/batch_executor.h"
 #include "service/marginal_cache.h"
 #include "service/mutation.h"
 #include "service/query_service.h"
 #include "service/release_store.h"
 #include "service/request.h"
-#include "service/service_metrics.h"
 #include "service/wire_codec.h"
 
 namespace dpcube {
@@ -78,10 +76,12 @@ class ServeSession {
   /// A "batch N" whose sub-lines are cut off by the end of `in` answers
   /// "ERR unexpected EOF inside batch", bounding the error to the frame.
   ///
-  /// `frame_trace`, when non-null, accumulates the frame's compute and
-  /// encode spans plus verb/release/outcome/batch identity (the network
-  /// connection owns the trace and its other spans). The session never
-  /// shares a trace across threads: one frame executes on one worker.
+  /// `frame_trace`, when non-null, accumulates the frame's encode time,
+  /// its per-verb line and per-error tallies, the queries answered per
+  /// release, and its verb/release/outcome/batch identity (the network
+  /// connection owns the trace and stamps its boundaries). The session
+  /// reads the clock only around encoding, and never shares a trace
+  /// across threads: one frame executes on one worker.
   bool ProcessStream(std::istream& in, std::ostream& out,
                      bool flush_each = false,
                      trace::RequestTrace* frame_trace = nullptr);
@@ -113,24 +113,6 @@ class ServeSession {
       std::function<bool(const std::string& release, std::string* denial)>
           gate) {
     quota_gate_ = std::move(gate);
-  }
-
-  /// Installs the per-verb telemetry table (resolved once against the
-  /// server's registry; see service/service_metrics.h). Every processed
-  /// request bumps its verb's counter and latency histogram, and every
-  /// non-kOk response bumps its error-code counter. Unset (CLI mode and
-  /// most tests), the session records nothing.
-  void SetMetrics(std::shared_ptr<const SessionMetrics> metrics) {
-    metrics_ = std::move(metrics);
-  }
-
-  /// Installs the tracing-side metric table (span histograms plus the
-  /// capped per-release series; see common/trace_metrics.h). With it
-  /// set, every answered query also records into its release's
-  /// labelled counter/latency series. Unset, nothing is recorded.
-  void SetTraceMetrics(
-      std::shared_ptr<const trace::ServingTraceMetrics> trace_metrics) {
-    trace_metrics_ = std::move(trace_metrics);
   }
 
   /// Called after every successful `load NAME PATH` with the release
@@ -166,10 +148,12 @@ class ServeSession {
                    std::ostream& out);
   /// Quota check for one query; fills `*denied` when the gate refuses.
   bool CheckQuota(const Query& query, Response* denied) const;
-  /// Encodes `response` under the current codec, counting any non-kOk
-  /// code in the error telemetry first. Every response leaves through
-  /// here so the error counters can never miss a path.
+  /// Encodes `response` under the current codec, tallying any non-kOk
+  /// code into the frame trace and timing the encode. Every response
+  /// leaves through here so the error tallies can never miss a path.
   void Emit(const Response& response, std::ostream& out);
+  /// Counts one answered query against `release` in the frame trace.
+  void TallyRelease(const std::string& release);
 
   std::shared_ptr<ReleaseStore> store_;
   std::shared_ptr<MarginalCache> cache_;
@@ -177,8 +161,6 @@ class ServeSession {
   const BatchExecutor* executor_;
   std::function<std::string()> server_stats_handler_;
   std::function<bool(const std::string&, std::string*)> quota_gate_;
-  std::shared_ptr<const SessionMetrics> metrics_;
-  std::shared_ptr<const trace::ServingTraceMetrics> trace_metrics_;
   std::function<void(const std::string&)> release_loaded_hook_;
   std::function<Status(const Mutation&)> mutation_handler_;
   /// The frame trace currently being filled (only while ProcessStream

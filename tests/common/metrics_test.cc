@@ -218,6 +218,14 @@ TEST(LatencyHistogramTest, CountAndSumTrackRecords) {
   h.Record(7e-6);
   EXPECT_EQ(h.count(), 2u);
   EXPECT_EQ(h.sum_micros(), 10u);
+
+  // Sub-microsecond samples keep their time in the sum: ten 0.4 us
+  // records render `_sum 4`, not ten rounded-down zeros.
+  Registry registry;
+  LatencyHistogram* fine = registry.GetHistogram("fine_us", "", "");
+  for (int i = 0; i < 10; ++i) fine->Record(0.4e-6);
+  EXPECT_NE(registry.RenderPrometheus().find("fine_us_sum 4\n"),
+            std::string::npos);
 }
 
 TEST(LatencyHistogramTest, BucketEdgesArePowersOfTwo) {

@@ -382,6 +382,16 @@ TEST(TracePipelineTest, ConcurrentTracedTrafficStaysConsistent) {
                         "dpcube_release_queries_total{release=\"demo\"}"),
             static_cast<double>(kClients) * kPerClient)
       << body;
+  // Every traced frame lands in every span histogram, zero-length spans
+  // included.
+  for (int s = 0; s < trace::kNumSpans; ++s) {
+    const std::string count =
+        std::string("dpcube_span_microseconds_count{span=\"") +
+        trace::SpanName(static_cast<trace::Span>(s)) + "\"}";
+    EXPECT_EQ(MetricValue(body, count),
+              static_cast<double>(ring->recorded_total()))
+        << count;
+  }
 }
 
 TEST(TracePipelineTest, DecodeErrorYieldsWellFormedTrace) {
