@@ -113,108 +113,24 @@ void RunChunks(const std::shared_ptr<LoopState>& state) {
   }
 }
 
-// State for one work-stealing loop. The chunk partition is identical to
-// the FIFO path's; only the order participants reach chunks differs, and
-// bodies write disjoint state, so the two schedules are observationally
-// equivalent. Reference-counted for the same reason as LoopState: a
-// queued helper may run after every chunk is done.
-struct StealState {
-  struct Chunk {
-    std::size_t lo = 0;
-    std::size_t hi = 0;
-  };
-  // One deque per participant (slot 0 is the caller). A plain mutex per
-  // deque keeps the invariant simple — at most one deque lock is ever
-  // held at a time — and steals are rare enough that contention is not
-  // the bottleneck the lock-free literature optimises for.
-  struct alignas(64) Deque {
-    sync::Mutex mu;
-    std::deque<Chunk> chunks GUARDED_BY(mu);
-  };
-  explicit StealState(std::size_t participants) : deques(participants) {}
-
-  std::vector<Deque> deques;
-  std::atomic<std::size_t> chunks_done{0};
-  std::size_t num_chunks = 0;
-  const std::function<void(std::size_t, std::size_t)>* body = nullptr;
-  sync::Mutex mu;
-  sync::CondVar all_done;
-  std::exception_ptr first_exception GUARDED_BY(mu);
-};
-
-void RunOneChunk(const std::shared_ptr<StealState>& state,
-                 const StealState::Chunk& chunk) {
-  try {
-    (*state->body)(chunk.lo, chunk.hi);
-  } catch (...) {
-    sync::MutexLock lock(&state->mu);
-    if (!state->first_exception) {
-      state->first_exception = std::current_exception();
-    }
-  }
-  if (state->chunks_done.fetch_add(1) + 1 == state->num_chunks) {
-    sync::MutexLock lock(&state->mu);
-    state->all_done.SignalAll();
-  }
-}
-
-// Participant `slot`: drain the own deque front-to-back; when empty, scan
-// the other deques round-robin and steal the back half of the first
-// non-empty victim (the chunks the victim would reach last, which also
-// preserves front-of-deque locality for the victim). Returns when no
-// deque holds work. A chunk is only ever in exactly one deque or claimed
-// by exactly one participant, so every chunk runs exactly once.
-void RunStealingChunks(const std::shared_ptr<StealState>& state,
-                       std::size_t slot) {
-  const std::size_t participants = state->deques.size();
-  StealState::Deque& own = state->deques[slot];
-  for (;;) {
-    bool got = false;
-    StealState::Chunk chunk;
-    {
-      sync::MutexLock lock(&own.mu);
-      if (!own.chunks.empty()) {
-        chunk = own.chunks.front();
-        own.chunks.pop_front();
-        got = true;
-      }
-    }
-    if (!got) {
-      for (std::size_t k = 1; k < participants && !got; ++k) {
-        StealState::Deque& victim =
-            state->deques[(slot + k) % participants];
-        std::vector<StealState::Chunk> stolen;
-        {
-          sync::MutexLock lock(&victim.mu);
-          const std::size_t n = victim.chunks.size();
-          if (n == 0) continue;
-          const std::size_t take = (n + 1) / 2;  // Steal half, rounded up.
-          stolen.assign(victim.chunks.end() - static_cast<std::ptrdiff_t>(take),
-                        victim.chunks.end());
-          victim.chunks.erase(
-              victim.chunks.end() - static_cast<std::ptrdiff_t>(take),
-              victim.chunks.end());
-        }
-        chunk = stolen.front();
-        got = true;
-        if (stolen.size() > 1) {
-          sync::MutexLock lock(&own.mu);
-          own.chunks.insert(own.chunks.end(), stolen.begin() + 1,
-                            stolen.end());
-        }
-      }
-    }
-    if (!got) return;  // Every visible chunk is claimed or done.
-    RunOneChunk(state, chunk);
-  }
-}
-
 }  // namespace
 
-void ThreadPool::RunFifo(
+void ThreadPool::ParallelForBlocks(
     std::size_t begin, std::size_t end, std::size_t grain,
-    std::size_t num_chunks,
     const std::function<void(std::size_t, std::size_t)>& body) {
+  if (begin >= end) return;
+  grain = std::max<std::size_t>(1, grain);
+  // Cap the chunk count at ~8 per thread: `grain` is the caller's lower
+  // bound (below which forking is wasteful), but for huge ranges a fixed
+  // grain would mean thousands of queue handoffs per loop. Chunking does
+  // not affect results (bodies write disjoint state), only sync cost.
+  const std::size_t max_chunks = 8 * static_cast<std::size_t>(parallelism());
+  grain = std::max(grain, (end - begin + max_chunks - 1) / max_chunks);
+  const std::size_t num_chunks = (end - begin + grain - 1) / grain;
+  if (num_chunks == 1 || workers_.empty()) {
+    body(begin, end);  // Inline: an exception propagates directly.
+    return;
+  }
   auto state = std::make_shared<LoopState>();
   state->num_chunks = num_chunks;
   state->begin = begin;
@@ -236,81 +152,13 @@ void ThreadPool::RunFifo(
   if (state->first_exception) std::rethrow_exception(state->first_exception);
 }
 
-void ThreadPool::RunStealing(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    std::size_t num_chunks,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  const std::size_t participants =
-      std::min(num_chunks, workers_.size() + 1);
-  auto state = std::make_shared<StealState>(participants);
-  state->num_chunks = num_chunks;
-  state->body = &body;
-
-  // Seed each participant's deque with a contiguous run of chunks (good
-  // initial locality; stealing rebalances from there). The partition is
-  // a pure function of the loop geometry and helpers only see the deques
-  // after the Submit fence below, but each uncontended per-deque lock is
-  // cheap enough to keep the seeding inside the lock discipline.
-  const std::size_t per =
-      (num_chunks + participants - 1) / participants;
-  for (std::size_t p = 0; p < participants; ++p) {
-    const std::size_t first = p * per;
-    const std::size_t last = std::min(num_chunks, first + per);
-    sync::MutexLock seed_lock(&state->deques[p].mu);
-    for (std::size_t c = first; c < last; ++c) {
-      const std::size_t lo = begin + c * grain;
-      const std::size_t hi = std::min(end, lo + grain);
-      state->deques[p].chunks.push_back(StealState::Chunk{lo, hi});
-    }
-  }
-
-  for (std::size_t h = 1; h < participants; ++h) {
-    Submit([state, h] { RunStealingChunks(state, h); });
-  }
-  RunStealingChunks(state, 0);  // The caller is participant 0.
-
-  sync::MutexLock lock(&state->mu);
-  state->all_done.Wait(state->mu, [&] {
-    return state->chunks_done.load() == state->num_chunks;
-  });
-  if (state->first_exception) std::rethrow_exception(state->first_exception);
-}
-
-void ThreadPool::ParallelForBlocks(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body,
-    Schedule schedule) {
-  if (begin >= end) return;
-  grain = std::max<std::size_t>(1, grain);
-  // Cap the chunk count at ~8 per thread: `grain` is the caller's lower
-  // bound (below which forking is wasteful), but for huge ranges a fixed
-  // grain would mean thousands of queue handoffs per loop. Chunking does
-  // not affect results (bodies write disjoint state), only sync cost.
-  // The cap is schedule-independent so both schedules see one partition.
-  const std::size_t max_chunks = 8 * static_cast<std::size_t>(parallelism());
-  grain = std::max(grain, (end - begin + max_chunks - 1) / max_chunks);
-  const std::size_t num_chunks = (end - begin + grain - 1) / grain;
-  if (num_chunks == 1 || workers_.empty()) {
-    body(begin, end);  // Inline: an exception propagates directly.
-    return;
-  }
-  if (schedule == Schedule::kAuto) schedule = default_schedule();
-  if (schedule == Schedule::kWorkStealing) {
-    RunStealing(begin, end, grain, num_chunks, body);
-  } else {
-    RunFifo(begin, end, grain, num_chunks, body);
-  }
-}
-
 void ThreadPool::ParallelFor(std::size_t begin, std::size_t end,
                              std::size_t grain,
-                             const std::function<void(std::size_t)>& body,
-                             Schedule schedule) {
+                             const std::function<void(std::size_t)>& body) {
   ParallelForBlocks(begin, end, grain,
                     [&body](std::size_t lo, std::size_t hi) {
                       for (std::size_t i = lo; i < hi; ++i) body(i);
-                    },
-                    schedule);
+                    });
 }
 
 double ThreadPool::ParallelSumBlocks(
@@ -329,18 +177,6 @@ double ThreadPool::ParallelSumBlocks(
   double sum = 0.0;
   for (const double p : partial) sum += p;
   return sum;
-}
-
-void ThreadPool::set_default_schedule(Schedule schedule) {
-  if (schedule == Schedule::kAuto) return;  // kAuto cannot be the default.
-  default_schedule_.store(schedule == Schedule::kWorkStealing ? 1 : 0,
-                          std::memory_order_relaxed);
-}
-
-ThreadPool::Schedule ThreadPool::default_schedule() const {
-  return default_schedule_.load(std::memory_order_relaxed) == 1
-             ? Schedule::kWorkStealing
-             : Schedule::kFifo;
 }
 
 namespace {

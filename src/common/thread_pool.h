@@ -12,21 +12,9 @@
 // deterministic, so loop bodies must write only to per-index (or per-chunk)
 // disjoint state; reductions are done by the caller merging per-index
 // partial results in index order. Under that discipline a loop's output is
-// bit-identical for every pool size AND every schedule, which is what the
-// parallel determinism suite (tests/engine/parallel_determinism_test.cc)
-// locks down.
-//
-// Two schedules are available per loop. kFifo (the default) hands chunks
-// out of one shared claim counter — cheapest when per-chunk costs are
-// roughly uniform (butterflies, blocked scans). kWorkStealing
-// pre-distributes chunks across per-participant deques; a participant
-// drains its own deque front-to-back and, when empty, steals the back
-// half of a victim's deque. Heterogeneous task costs (the cluster
-// strategy's candidate-merge evaluations, mixed-width cuboids) then stop
-// serializing behind whichever participant drew the expensive chunks.
-// The schedule affects only which thread runs a chunk, never the chunk
-// partition or the caller-side reduction order, so it cannot change
-// results.
+// bit-identical for every pool size, which is what the parallel
+// determinism suite (tests/engine/parallel_determinism_test.cc) locks
+// down. Participants claim chunks from one shared counter in FIFO order.
 //
 // A ParallelFor issued from inside a pool task (nested parallelism) is
 // safe: the nested caller can always finish its own chunks without help,
@@ -49,21 +37,6 @@ namespace dpcube {
 
 class ThreadPool {
  public:
-  /// How a parallel loop distributes its chunks across participants.
-  enum class Schedule {
-    /// Resolve to the pool's default (set_default_schedule; kFifo unless
-    /// changed). Call sites with no cost profile of their own use this so
-    /// tests can sweep every loop through both concrete schedules.
-    kAuto,
-    /// One shared claim counter; participants grab the next unclaimed
-    /// chunk. Lowest overhead for uniform per-chunk costs.
-    kFifo,
-    /// Per-participant deques seeded with contiguous chunk runs; idle
-    /// participants steal the back half of a victim's deque. Use when
-    /// per-chunk costs are wildly uneven.
-    kWorkStealing,
-  };
-
   /// A pool of total `parallelism` compute threads: `parallelism - 1`
   /// workers are spawned, and the thread calling ParallelFor contributes
   /// the remaining one. `parallelism` is clamped to >= 1; a 1-thread pool
@@ -99,23 +72,20 @@ class ThreadPool {
   /// loop makes progress even when all workers are busy. Thread-safe and
   /// reentrant. If a body throws, the loop still joins every chunk and
   /// rethrows the first exception on the calling thread. The chunk
-  /// partition depends only on (begin, end, grain, parallelism()), never
-  /// on `schedule`.
+  /// partition depends only on (begin, end, grain, parallelism()).
   void ParallelForBlocks(std::size_t begin, std::size_t end,
                          std::size_t grain,
                          const std::function<void(std::size_t, std::size_t)>&
-                             body,
-                         Schedule schedule = Schedule::kAuto);
+                             body);
 
   /// Element-wise convenience wrapper: body(i) for i in [begin, end).
   void ParallelFor(std::size_t begin, std::size_t end, std::size_t grain,
-                   const std::function<void(std::size_t)>& body,
-                   Schedule schedule = Schedule::kAuto);
+                   const std::function<void(std::size_t)>& body);
 
   /// Deterministic parallel sum. `body(lo, hi)` returns the partial sum
   /// of a block; blocks are the fixed ranges [begin + k*block, begin +
   /// (k+1)*block) — a pure function of (begin, end, block), never of the
-  /// pool size or schedule — and the partials are merged in ascending
+  /// pool size — and the partials are merged in ascending
   /// block order on the calling thread. The result is therefore
   /// bit-identical for every pool configuration, though NOT to a plain
   /// left-to-right sum (the association differs): callers that must
@@ -125,12 +95,6 @@ class ThreadPool {
                            std::size_t block,
                            const std::function<double(std::size_t,
                                                       std::size_t)>& body);
-
-  /// The schedule Schedule::kAuto resolves to (kFifo on construction).
-  /// Passing kAuto here is invalid and ignored. Thread-safe; loops
-  /// already in flight keep the schedule they resolved at entry.
-  void set_default_schedule(Schedule schedule);
-  Schedule default_schedule() const;
 
   /// The process-wide pool shared by the release pipeline and the query
   /// service. First use creates it with hardware_concurrency threads.
@@ -155,19 +119,12 @@ class ThreadPool {
 
  private:
   void WorkerLoop();
-  void RunFifo(std::size_t begin, std::size_t end, std::size_t grain,
-               std::size_t num_chunks,
-               const std::function<void(std::size_t, std::size_t)>& body);
-  void RunStealing(std::size_t begin, std::size_t end, std::size_t grain,
-                   std::size_t num_chunks,
-                   const std::function<void(std::size_t, std::size_t)>& body);
 
   mutable sync::Mutex mu_;
   sync::CondVar work_available_;
   std::deque<std::function<void()>> tasks_ GUARDED_BY(mu_);
   bool shutting_down_ GUARDED_BY(mu_) = false;
   std::atomic<int> busy_workers_{0};
-  std::atomic<int> default_schedule_{0};  // 0 = kFifo, 1 = kWorkStealing.
   std::vector<std::thread> workers_;
 };
 

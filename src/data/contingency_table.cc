@@ -118,34 +118,9 @@ Result<DenseTable> SparseCounts::ToDense() const {
 }
 
 double SparseCounts::FourierCoefficient(bits::Mask alpha) const {
-  // Above the cutoff, block the occupied-cell scan into fixed-size
-  // partial sums merged in block-index order. The block partition is a
-  // constant of the entry count — never of the pool size or schedule —
-  // so one huge cuboid produces bit-identical coefficients at every
-  // thread count (the determinism suite covers this). Below the cutoff
-  // the scan stays inline and byte-identical to the historical
-  // sequential sum (the golden snapshots sit well below it). This is the
-  // single-huge-cuboid complement to the per-coefficient fan-out in the
-  // F strategy: nested ParallelFor is safe, and when only a few
-  // coefficients are in flight the inner blocks keep every thread busy.
-  constexpr std::size_t kParallelCutoff = std::size_t{1} << 14;
-  constexpr std::size_t kBlock = std::size_t{1} << 12;
-  const std::size_t n = entries_.size();
   double sum = 0.0;
-  if (n < kParallelCutoff) {
-    for (const Entry& e : entries_) {
-      sum += bits::FourierSign(alpha, e.cell) * e.count;
-    }
-  } else {
-    sum = ThreadPool::Shared().ParallelSumBlocks(
-        0, n, kBlock, [&](std::size_t lo, std::size_t hi) {
-          double block_sum = 0.0;
-          for (std::size_t i = lo; i < hi; ++i) {
-            block_sum +=
-                bits::FourierSign(alpha, entries_[i].cell) * entries_[i].count;
-          }
-          return block_sum;
-        });
+  for (const Entry& e : entries_) {
+    sum += bits::FourierSign(alpha, e.cell) * e.count;
   }
   return sum * std::pow(2.0, -0.5 * d_);
 }

@@ -79,7 +79,9 @@ class SparseCounts {
   Result<DenseTable> ToDense() const;
 
   /// Fourier coefficient <f^alpha, x> = 2^{-d/2} sum_cells count *
-  /// (-1)^{<alpha, cell>}, in O(num_occupied).
+  /// (-1)^{<alpha, cell>}, by one O(num_occupied) scan. Strategy F measures
+  /// whole workloads from marginals instead
+  /// (strategy::FourierCoefficientsFromMarginals); this scan is its oracle.
   double FourierCoefficient(bits::Mask alpha) const;
 
  private:

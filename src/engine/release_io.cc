@@ -2,13 +2,48 @@
 
 #include "engine/release_io.h"
 
-#include <cinttypes>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 
 namespace dpcube {
 namespace engine {
+namespace {
+
+// Appends `value` as "%.17g" prints it: std::to_chars in general format at
+// precision 17 yields the same bytes without printf's format parsing.
+void AppendDouble(double value, std::string* out) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::general, 17);
+  out->append(buf, res.ptr);
+}
+
+void AppendUint(std::uint64_t value, std::string* out) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), value);
+  out->append(buf, res.ptr);
+}
+
+// Parses all of `field` as a number: no sign on unsigned fields (from_chars
+// accepts none), no leading blanks, no trailing bytes.
+template <typename T>
+bool ParseWhole(std::string_view field, T* value) {
+  const char* end = field.data() + field.size();
+  const auto res = std::from_chars(field.data(), end, *value);
+  return res.ec == std::errc() && res.ptr == end;
+}
+
+// Cuts the next field of `line` up to `sep` (or the rest of the line).
+std::string_view NextField(std::string_view* line, char sep) {
+  const std::size_t at = line->find(sep);
+  const std::string_view field = line->substr(0, at);
+  line->remove_prefix(at == std::string_view::npos ? line->size() : at + 1);
+  return field;
+}
+
+}  // namespace
 
 Status WriteReleaseCsv(const std::string& path,
                        const std::vector<marginal::MarginalTable>& marginals,
@@ -18,7 +53,7 @@ Status WriteReleaseCsv(const std::string& path,
     return Status::InvalidArgument(
         "cell_variances must be empty or have one entry per marginal");
   }
-  std::ofstream out(path);
+  std::ofstream out(path, std::ios::binary);
   if (!out) return Status::NotFound("cannot open '" + path + "' for writing");
   const int d = marginals.empty() ? 0 : marginals.front().d();
   for (const marginal::MarginalTable& m : marginals) {
@@ -27,15 +62,14 @@ Status WriteReleaseCsv(const std::string& path,
           "all marginals must share the same domain dimensionality");
     }
   }
-  out << "# dpcube-release d=" << d << "\n";
+  std::string buf = "# dpcube-release d=" + std::to_string(d) + "\n";
   if (!cell_variances.empty()) {
-    out << "# dpcube-cell-variances";
-    char field[32];
+    buf += "# dpcube-cell-variances";
     for (const double v : cell_variances) {
-      std::snprintf(field, sizeof(field), " %.17g", v);
-      out << field;
+      buf += ' ';
+      AppendDouble(v, &buf);
     }
-    out << "\n";
+    buf += '\n';
   }
   if (build_timings != nullptr) {
     char header[192];
@@ -47,62 +81,95 @@ Status WriteReleaseCsv(const std::string& path,
                   build_timings->measure_seconds,
                   build_timings->consistency_seconds,
                   build_timings->total_seconds);
-    out << header;
+    buf += header;
   }
-  out << "mask,cell,value\n";
-  char line[96];
+  buf += "mask,cell,value\n";
+  constexpr std::size_t kFlushBytes = std::size_t{1} << 16;
   for (const marginal::MarginalTable& m : marginals) {
     for (std::size_t g = 0; g < m.num_cells(); ++g) {
-      std::snprintf(line, sizeof(line), "%" PRIu64 ",%zu,%.17g\n",
-                    static_cast<std::uint64_t>(m.alpha()), g, m.value(g));
-      out << line;
+      AppendUint(m.alpha(), &buf);
+      buf += ',';
+      AppendUint(g, &buf);
+      buf += ',';
+      AppendDouble(m.value(g), &buf);
+      buf += '\n';
+      if (buf.size() >= kFlushBytes) {
+        out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+        buf.clear();
+      }
     }
   }
+  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+  out.flush();
   if (!out) return Status::Internal("write to '" + path + "' failed");
   return Status::OK();
 }
 
 Result<LoadedRelease> ReadReleaseCsv(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("cannot open '" + path + "'");
-  std::string line;
-  if (!std::getline(in, line) ||
-      line.rfind("# dpcube-release d=", 0) != 0) {
+  std::string text;
+  char chunk[1 << 14];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  // Every line, the last included, ends in a newline from here on, so the
+  // bytes left from a line's start bound the lines the file still holds.
+  if (!text.empty() && text.back() != '\n') text += '\n';
+
+  std::string_view rest = text;
+  std::size_t line_no = 0;
+  auto next_line = [&](std::string_view* line) {
+    if (rest.empty()) return false;
+    *line = NextField(&rest, '\n');
+    ++line_no;
+    return true;
+  };
+  auto bad_line = [&](const std::string& what) {
+    return Status::InvalidArgument("'" + path + "' line " +
+                                   std::to_string(line_no) + ": " + what);
+  };
+
+  std::string_view line;
+  constexpr std::string_view kReleaseHeader = "# dpcube-release d=";
+  if (!next_line(&line) || line.substr(0, kReleaseHeader.size()) !=
+                               kReleaseHeader) {
     return Status::InvalidArgument("'" + path + "': missing release header");
   }
-  int d = 0;
-  try {
-    d = std::stoi(line.substr(std::string("# dpcube-release d=").size()));
-  } catch (const std::exception&) {
-    return Status::InvalidArgument("'" + path + "': bad dimensionality");
+  unsigned parsed_d = 0;
+  if (!ParseWhole(line.substr(kReleaseHeader.size()), &parsed_d) ||
+      parsed_d > 63) {
+    return bad_line("bad dimensionality (want 0..63)");
   }
+  const int d = static_cast<int>(parsed_d);
+  const bits::Mask domain = bits::FullMask(d);
   LoadedRelease release;
-  if (!std::getline(in, line)) {
+  if (!next_line(&line)) {
     return Status::InvalidArgument("'" + path + "': missing column header");
   }
-  const std::string kVarianceHeader = "# dpcube-cell-variances";
-  if (line.rfind(kVarianceHeader, 0) == 0) {
-    std::stringstream vs(line.substr(kVarianceHeader.size()));
-    double v = 0.0;
-    while (vs >> v) release.cell_variances.push_back(v);
-    if (!std::getline(in, line)) {
+  constexpr std::string_view kVarianceHeader = "# dpcube-cell-variances";
+  if (line.substr(0, kVarianceHeader.size()) == kVarianceHeader) {
+    line.remove_prefix(kVarianceHeader.size());
+    while (!line.empty()) {
+      const std::string_view field = NextField(&line, ' ');
+      if (field.empty()) continue;
+      double v = 0.0;
+      if (!ParseWhole(field, &v)) return bad_line("bad cell variance");
+      release.cell_variances.push_back(v);
+    }
+    if (!next_line(&line)) {
       return Status::InvalidArgument("'" + path + "': missing column header");
     }
   }
-  const std::string kBuildHeader = "# dpcube-build-seconds";
-  if (line.rfind(kBuildHeader, 0) == 0) {
-    std::stringstream ts(line.substr(kBuildHeader.size()));
-    std::string field;
-    while (ts >> field) {
-      const std::size_t eq = field.find('=');
-      if (eq == std::string::npos) continue;
-      const std::string key = field.substr(0, eq);
+  constexpr std::string_view kBuildHeader = "# dpcube-build-seconds";
+  if (line.substr(0, kBuildHeader.size()) == kBuildHeader) {
+    line.remove_prefix(kBuildHeader.size());
+    while (!line.empty()) {
+      std::string_view field = NextField(&line, ' ');
+      const std::string_view key = NextField(&field, '=');
       double value = 0.0;
-      try {
-        value = std::stod(field.substr(eq + 1));
-      } catch (const std::exception&) {
-        continue;  // Tolerated, like any unknown comment content.
-      }
+      // Tolerated, like any unknown comment content.
+      if (!ParseWhole(field, &value)) continue;
       if (key == "construction") {
         release.build_timings.construction_seconds = value;
       } else if (key == "budget") {
@@ -116,7 +183,7 @@ Result<LoadedRelease> ReadReleaseCsv(const std::string& path) {
       }
     }
     release.has_build_timings = true;
-    if (!std::getline(in, line)) {
+    if (!next_line(&line)) {
       return Status::InvalidArgument("'" + path + "': missing column header");
     }
   }
@@ -124,33 +191,34 @@ Result<LoadedRelease> ReadReleaseCsv(const std::string& path) {
     return Status::InvalidArgument("'" + path + "': missing column header");
   }
 
+  // "m,c,v\n" is the shortest data line, so a sixth of the bytes bounds
+  // the lines: neither one marginal's cells nor all of them together may
+  // outnumber the lines that hold them.
+  const std::size_t data_lines = rest.size() / 6;
+  std::uint64_t cells = 0;  // Cells of the marginals read so far.
   std::vector<bits::Mask> masks;
-  std::size_t line_no = 2;
-  while (std::getline(in, line)) {
-    ++line_no;
+  for (;;) {
+    const std::size_t max_lines = rest.size() / 6;
+    if (!next_line(&line)) break;
     if (line.empty()) continue;
-    std::stringstream ss(line);
-    std::string mask_field, cell_field, value_field;
-    if (!std::getline(ss, mask_field, ',') ||
-        !std::getline(ss, cell_field, ',') ||
-        !std::getline(ss, value_field)) {
-      return Status::InvalidArgument("'" + path + "' line " +
-                                     std::to_string(line_no) + ": malformed");
-    }
-    bits::Mask mask;
-    std::size_t cell;
-    double value;
-    try {
-      mask = std::stoull(mask_field);
-      cell = std::stoull(cell_field);
-      value = std::stod(value_field);
-    } catch (const std::exception&) {
-      return Status::InvalidArgument("'" + path + "' line " +
-                                     std::to_string(line_no) +
-                                     ": non-numeric field");
+    bits::Mask mask = 0;
+    std::uint64_t cell = 0;
+    double value = 0.0;
+    if (!ParseWhole(NextField(&line, ','), &mask) ||
+        !ParseWhole(NextField(&line, ','), &cell) ||
+        !ParseWhole(line, &value)) {
+      return bad_line("malformed or non-numeric field");
     }
     if (release.marginals.empty() ||
         release.marginals.back().alpha() != mask) {
+      if ((mask & ~domain) != 0) {
+        return bad_line("mask has bits outside d=" + std::to_string(d));
+      }
+      const std::uint64_t size = std::uint64_t{1} << bits::Popcount(mask);
+      if (size > max_lines || cells + size > data_lines) {
+        return bad_line("marginal has more cells than the file has lines");
+      }
+      cells += size;
       masks.push_back(mask);
       release.marginals.emplace_back(mask, d);
     }

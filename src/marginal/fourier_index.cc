@@ -4,9 +4,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstdint>
-
-#include "common/thread_pool.h"
 
 namespace dpcube {
 namespace marginal {
@@ -64,28 +61,14 @@ linalg::Vector FourierBudgetWeights(const Workload& workload,
         2.0 * a *
         std::pow(2.0, workload.d() - bits::Popcount(workload.mask(i)));
   }
-  // Invert the scatter once: slot beta's contributor list holds the
-  // marginals covering it in increasing-i order (the outer loop order),
-  // so the parallel per-slot sums below add the exact values the
-  // sequential scatter added, in the same order — bit-identical output,
-  // O(sum_i 2^{k_i}) total work, and each slot written by exactly one
-  // work unit (thread-count-invariant). The index build itself stays
-  // serial (it costs about what the old scatter cost), so only the
-  // summation phase scales with threads; bit-compatibility with the
-  // committed golden snapshots is what rules out a repartitioned sum.
-  std::vector<std::vector<std::uint32_t>> contributors(index.size());
+  // Scatter in increasing i: each slot adds its terms in marginal order,
+  // which the committed golden snapshots depend on.
+  linalg::Vector b(index.size(), 0.0);
   for (std::size_t i = 0; i < num_marginals; ++i) {
     for (bits::SubmaskIterator it(workload.mask(i)); !it.done(); it.Next()) {
-      contributors[index.IndexOf(it.mask())].push_back(
-          static_cast<std::uint32_t>(i));
+      b[index.IndexOf(it.mask())] += contribution[i];
     }
   }
-  linalg::Vector b(index.size(), 0.0);
-  ThreadPool::Shared().ParallelFor(0, index.size(), 16, [&](std::size_t c) {
-    double sum = 0.0;
-    for (const std::uint32_t i : contributors[c]) sum += contribution[i];
-    b[c] = sum;
-  });
   return b;
 }
 

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <set>
 
 namespace dpcube {
 namespace marginal {
@@ -42,13 +41,16 @@ std::uint64_t Workload::TotalCells() const {
 }
 
 std::vector<bits::Mask> Workload::FourierSupport() const {
-  std::set<bits::Mask> support;
+  std::vector<bits::Mask> support;
+  support.reserve(TotalCells());
   for (bits::Mask alpha : masks_) {
     for (bits::SubmaskIterator it(alpha); !it.done(); it.Next()) {
-      support.insert(it.mask());
+      support.push_back(it.mask());
     }
   }
-  return std::vector<bits::Mask>(support.begin(), support.end());
+  std::sort(support.begin(), support.end());
+  support.erase(std::unique(support.begin(), support.end()), support.end());
+  return support;
 }
 
 int Workload::MaxOrder() const {

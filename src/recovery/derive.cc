@@ -27,23 +27,24 @@ Result<DerivedCube> DerivedCube::Fit(
   // GLS variance of each coefficient: the inverse-variance-weighted
   // average over the containing marginals has
   //   Var(theta_hat_beta) = 1 / sum_{i: beta ⪯ alpha_i} 2^{d-k_i}/var_i.
+  // Scattering each marginal's term over its submasks in increasing i adds
+  // every coefficient's terms in the same order as summing over i per
+  // coefficient.
   const int d = workload.d();
   linalg::Vector variances(index.size(), 0.0);
-  for (std::size_t j = 0; j < index.size(); ++j) {
-    const bits::Mask beta = index.mask(j);
-    double precision = 0.0;
-    for (std::size_t i = 0; i < workload.num_marginals(); ++i) {
-      const bits::Mask alpha = workload.mask(i);
-      if (!bits::IsSubset(beta, alpha)) continue;
-      if (!(cell_variances[i] > 0.0)) {
-        return Status::InvalidArgument(
-            "DerivedCube: cell variances must be positive");
-      }
-      const int k_i = bits::Popcount(alpha);
-      precision += std::ldexp(1.0, d - k_i) / cell_variances[i];
+  for (std::size_t i = 0; i < workload.num_marginals(); ++i) {
+    if (!(cell_variances[i] > 0.0)) {
+      return Status::InvalidArgument(
+          "DerivedCube: cell variances must be positive");
     }
-    variances[j] = 1.0 / precision;
+    const bits::Mask alpha = workload.mask(i);
+    const double term =
+        std::ldexp(1.0, d - bits::Popcount(alpha)) / cell_variances[i];
+    for (bits::SubmaskIterator it(alpha); !it.done(); it.Next()) {
+      variances[index.IndexOf(it.mask())] += term;
+    }
   }
+  for (double& v : variances) v = 1.0 / v;
   return DerivedCube(std::move(index), std::move(coefficients),
                      std::move(variances));
 }

@@ -3,9 +3,11 @@
 #include "strategy/cluster_strategy.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <utility>
@@ -110,68 +112,106 @@ double ClusterStrategy::EvaluateMerge(
 }
 
 void ClusterStrategy::RunClustering() {
-  // Start from the distinct query masks.
-  std::set<bits::Mask> unique(workload_.masks().begin(),
-                              workload_.masks().end());
-  std::vector<bits::Mask> centroids(unique.begin(), unique.end());
+  // Start from the distinct query masks, ascending.
+  std::vector<bits::Mask> centroids = workload_.masks();
+  std::sort(centroids.begin(), centroids.end());
+  centroids.erase(std::unique(centroids.begin(), centroids.end()),
+                  centroids.end());
   std::vector<std::size_t> cover_of;
   AssignCovers(centroids, &cover_of);
   double cost = PredictedCost(centroids, cover_of);
 
-  // Greedy descent; each round evaluates every pair merge in parallel.
-  // Candidate costs vary wildly (pruning changes |M|, cover search is
-  // O(Q * |M|)), which is exactly the heterogeneous profile the
-  // work-stealing schedule exists for. Each pair writes only its own
-  // cost slot; the winner is the argmin in pair-enumeration order
-  // (i outer, j inner) with ties to the lowest pair index — the same
-  // merge the sequential scan's strict `<` would have kept — so the
-  // clustering is bit-identical for every thread count and schedule.
-  ThreadPool& pool = ThreadPool::Shared();
-  bool improved = true;
-  while (improved && centroids.size() > 1) {
-    improved = false;
+  // Greedy descent. Merging centroids i and j replaces c_i and c_j by
+  // u = c_i | c_j, and each query then takes the best of its remaining
+  // covers and u, by (width, mask) as AssignCovers does. At most two
+  // covers drop out, so each query's three best current covers decide its
+  // new cover, and a pair is scored in O(Q) with the sum and the
+  // distinct-cover count |M| that EvaluateMerge would compute, in the same
+  // order. The winner is the cheapest pair below the current cost, ties to
+  // the first in pair order (i outer, j inner); EvaluateMerge rebuilds it.
+  const std::size_t num_queries = workload_.num_marginals();
+  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+  std::array<double, 65> pow2;
+  for (int w = 0; w <= 64; ++w) pow2[w] = std::pow(2.0, w);
+  std::vector<std::array<std::uint32_t, 3>> best3(num_queries);
+  std::vector<std::uint32_t> seen;
+  std::uint32_t stamp = 0;
+  while (centroids.size() > 1) {
     const std::size_t k = centroids.size();
-    const std::size_t num_pairs = k * (k - 1) / 2;
-    // pair_first[i] = flat index of pair (i, i+1); pairs of a given i are
-    // contiguous, matching the sequential enumeration order.
-    std::vector<std::size_t> pair_first(k, 0);
-    for (std::size_t i = 1; i < k; ++i) {
-      pair_first[i] = pair_first[i - 1] + (k - i);  // k-1-(i-1) pairs at i-1.
-    }
-    auto pair_of = [&](std::size_t p) {
-      const std::size_t i =
-          static_cast<std::size_t>(
-              std::upper_bound(pair_first.begin(), pair_first.end(), p) -
-              pair_first.begin()) -
-          1;
-      return std::pair<std::size_t, std::size_t>(i, i + 1 + (p - pair_first[i]));
-    };
-    std::vector<double> pair_cost(num_pairs, 0.0);
-    pool.ParallelFor(
-        0, num_pairs, 1,
-        [&](std::size_t p) {
-          const auto [i, j] = pair_of(p);
-          pair_cost[p] = EvaluateMerge(centroids, i, j, nullptr, nullptr);
-        },
-        ThreadPool::Schedule::kWorkStealing);
-    std::size_t best_pair = num_pairs;
-    double best_cost = cost;
-    for (std::size_t p = 0; p < num_pairs; ++p) {
-      if (pair_cost[p] < best_cost) {
-        best_cost = pair_cost[p];
-        best_pair = p;
+    std::vector<int> width(k);
+    for (std::size_t m = 0; m < k; ++m) width[m] = bits::Popcount(centroids[m]);
+    // Centroids ascend by mask, so inserting each after the covers of
+    // equal width keeps the (width, mask) order.
+    for (std::size_t q = 0; q < num_queries; ++q) {
+      std::array<std::uint32_t, 3>& top = best3[q];
+      top.fill(kNone);
+      for (std::size_t m = 0; m < k; ++m) {
+        if (!bits::IsSubset(workload_.mask(q), centroids[m])) continue;
+        std::size_t pos = 0;
+        while (pos < 3 && top[pos] != kNone && width[top[pos]] <= width[m]) {
+          ++pos;
+        }
+        if (pos == 3) continue;
+        for (std::size_t t = 2; t > pos; --t) top[t] = top[t - 1];
+        top[pos] = static_cast<std::uint32_t>(m);
       }
     }
-    if (best_pair != num_pairs) {
-      const auto [i, j] = pair_of(best_pair);
-      std::vector<bits::Mask> best_centroids;
-      std::vector<std::size_t> best_cover;
-      EvaluateMerge(centroids, i, j, &best_centroids, &best_cover);
-      centroids = std::move(best_centroids);
-      cover_of = std::move(best_cover);
-      cost = best_cost;
-      improved = true;
+    seen.assign(k + 1, 0);
+    stamp = 0;
+    std::size_t best_i = k, best_j = k;
+    double best_cost = cost;
+    for (std::size_t i = 0; i + 1 < k; ++i) {
+      for (std::size_t j = i + 1; j < k; ++j) {
+        const bits::Mask u = centroids[i] | centroids[j];
+        const int u_width = bits::Popcount(u);
+        // u's slot: the centroid it already equals, else the spare slot k.
+        const auto found =
+            std::lower_bound(centroids.begin(), centroids.end(), u);
+        const std::size_t u_id =
+            found != centroids.end() && *found == u
+                ? static_cast<std::size_t>(found - centroids.begin())
+                : k;
+        ++stamp;
+        std::size_t used = 0;
+        double spread = 0.0;
+        for (std::size_t q = 0; q < num_queries; ++q) {
+          std::size_t cover = kNone;
+          for (const std::uint32_t c : best3[q]) {
+            if (c != i && c != j) {
+              cover = c;
+              break;
+            }
+          }
+          int cover_width = cover == kNone ? 0 : width[cover];
+          if (bits::IsSubset(workload_.mask(q), u) &&
+              (cover == kNone || u_width < cover_width ||
+               (u_width == cover_width && u < centroids[cover]))) {
+            cover = u_id;
+            cover_width = u_width;
+          }
+          assert(cover != kNone);
+          spread += pow2[cover_width];
+          if (seen[cover] != stamp) {
+            seen[cover] = stamp;
+            ++used;
+          }
+        }
+        const double m = static_cast<double>(used);
+        const double pair_cost = m * m * spread;
+        if (pair_cost < best_cost) {
+          best_cost = pair_cost;
+          best_i = i;
+          best_j = j;
+        }
+      }
     }
+    if (best_i == k) break;  // Local optimum.
+    std::vector<bits::Mask> best_centroids;
+    std::vector<std::size_t> best_cover;
+    EvaluateMerge(centroids, best_i, best_j, &best_centroids, &best_cover);
+    centroids = std::move(best_centroids);
+    cover_of = std::move(best_cover);
+    cost = best_cost;
   }
   materialized_ = std::move(centroids);
   cover_of_ = std::move(cover_of);

@@ -75,10 +75,9 @@ class ClusterStrategy : public MarginalStrategy {
                     std::vector<std::size_t>* cover_of) const;
   double PredictedCost(const std::vector<bits::Mask>& centroids,
                        const std::vector<std::size_t>& cover_of) const;
-  /// Cost of merging centroids i and j (pruning stranded centroids), as
-  /// one independent unit of the parallel candidate scan. When non-null,
-  /// `candidate_out`/`cover_out` receive the pruned centroid set and its
-  /// cover assignment (used to rebuild the winning merge).
+  /// Cost of merging centroids i and j (pruning stranded centroids). When
+  /// non-null, `candidate_out`/`cover_out` receive the pruned centroid set
+  /// and its cover assignment (used to apply the winning merge).
   double EvaluateMerge(const std::vector<bits::Mask>& centroids,
                        std::size_t i, std::size_t j,
                        std::vector<bits::Mask>* candidate_out,

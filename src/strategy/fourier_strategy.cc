@@ -7,29 +7,57 @@
 
 #include "common/thread_pool.h"
 #include "dp/mechanisms.h"
+#include "transform/walsh_hadamard.h"
 
 namespace dpcube {
 namespace strategy {
+
+linalg::Vector FourierCoefficientsFromMarginals(
+    const data::SparseCounts& data, const marginal::Workload& workload,
+    const marginal::FourierIndex& index) {
+  // For beta ⪯ alpha, <beta, cell> = <local(beta), local(cell)>, so the
+  // coefficients under alpha are the unnormalised 2^k-point WHT of the
+  // alpha marginal (Theorem 4.1) times 2^{-d/2}. Marginals are transformed
+  // independently, one work unit each.
+  const std::size_t num_marginals = workload.num_marginals();
+  std::vector<marginal::MarginalTable> transformed(
+      num_marginals, marginal::MarginalTable(0, 0));
+  ThreadPool::Shared().ParallelFor(0, num_marginals, 1, [&](std::size_t i) {
+    marginal::MarginalTable table =
+        marginal::ComputeMarginal(data, workload.mask(i));
+    transform::UnnormalisedWalshHadamard(&table.mutable_values());
+    transformed[i] = std::move(table);
+  });
+  linalg::Vector coefficients(index.size(), 0.0);
+  std::vector<bool> measured(index.size(), false);
+  const double scale = std::pow(2.0, -0.5 * workload.d());
+  for (const marginal::MarginalTable& table : transformed) {
+    // Local index l holds beta = ExpandIntoMask(l, alpha); the submask walk
+    // (beta - alpha) & alpha visits those betas in increasing l.
+    const bits::Mask alpha = table.alpha();
+    bits::Mask beta = 0;
+    for (std::size_t l = 0; l < table.num_cells();
+         ++l, beta = (beta - alpha) & alpha) {
+      const std::size_t i = index.IndexOf(beta);
+      if (measured[i]) continue;
+      measured[i] = true;
+      coefficients[i] = table.value(l) * scale;
+    }
+  }
+  return coefficients;
+}
 
 FourierStrategy::FourierStrategy(marginal::Workload workload,
                                  linalg::Vector query_weights)
     : workload_(std::move(workload)), index_(workload_) {
   const auto start = std::chrono::steady_clock::now();
-  // FourierBudgetWeights is the construction-time scoring loop; it fans
-  // out per coefficient on the shared pool (bit-identically to the
-  // sequential scatter — see fourier_index.cc).
   const linalg::Vector b =
       marginal::FourierBudgetWeights(workload_, index_, query_weights);
-  const double column_norm = std::pow(2.0, -0.5 * workload_.d());
-  // Trivial per-slot writes: the 4k grain keeps small supports inline.
-  groups_.assign(index_.size(), budget::GroupSummary{});
-  ThreadPool::Shared().ParallelFor(0, index_.size(), 4096, [&](std::size_t i) {
-    budget::GroupSummary g;
-    g.column_norm = column_norm;
-    g.weight_sum = b[i];
-    g.num_rows = 1;
-    groups_[i] = g;
-  });
+  budget::GroupSummary g;
+  g.column_norm = std::pow(2.0, -0.5 * workload_.d());
+  g.num_rows = 1;
+  groups_.assign(index_.size(), g);
+  for (std::size_t i = 0; i < index_.size(); ++i) groups_[i].weight_sum = b[i];
   construction_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -50,21 +78,19 @@ Result<Release> FourierStrategy::Run(const data::SparseCounts& data,
     }
   }
 
-  // Measure every needed coefficient once. Each coefficient scans the
-  // occupied cells independently, so the fan-out is embarrassingly
-  // parallel; coefficient i samples its noise from child stream i of one
-  // master draw (the Rng::Stream seed-derivation rule), which keeps the
-  // release bit-identical for every thread count.
-  ThreadPool& pool = ThreadPool::Shared();
+  // Measure every needed coefficient once, from the workload marginals;
+  // coefficient i samples its noise from child stream i of one master
+  // draw (the Rng::Stream seed-derivation rule), which keeps the release
+  // bit-identical for every thread count.
   const std::uint64_t noise_base = rng->NextUint64();
-  linalg::Vector noisy(index_.size());
+  linalg::Vector noisy =
+      FourierCoefficientsFromMarginals(data, workload_, index_);
   linalg::Vector coeff_variance(index_.size());
-  pool.ParallelFor(0, index_.size(), 1, [&](std::size_t i) {
+  for (std::size_t i = 0; i < index_.size(); ++i) {
     Rng child = Rng::Stream(noise_base, i);
-    noisy[i] = data.FourierCoefficient(index_.mask(i)) +
-               dp::SampleNoise(group_budgets[i], params, &child);
+    noisy[i] += dp::SampleNoise(group_budgets[i], params, &child);
     coeff_variance[i] = dp::MeasurementVariance(group_budgets[i], params);
-  });
+  }
 
   Release release;
   release.consistent = true;
@@ -74,7 +100,7 @@ Result<Release> FourierStrategy::Run(const data::SparseCounts& data,
   // 1-cell placeholders; every slot is move-assigned by its worker
   // before the join returns.
   release.marginals.assign(num_marginals, marginal::MarginalTable(0, 0));
-  pool.ParallelFor(0, num_marginals, 1, [&](std::size_t i) {
+  ThreadPool::Shared().ParallelFor(0, num_marginals, 1, [&](std::size_t i) {
     const bits::Mask alpha = workload_.mask(i);
     const int k = bits::Popcount(alpha);
     release.marginals[i] = marginal::MarginalFromFourier(

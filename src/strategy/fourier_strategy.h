@@ -25,6 +25,17 @@
 namespace dpcube {
 namespace strategy {
 
+/// The exact Fourier coefficients <f^beta, x> of `data` for every beta in
+/// `index`, in index order. Each workload marginal is computed once and
+/// transformed (Theorem 4.1), and beta takes its value from the first
+/// marginal that covers it, so the cost is sum_i (#occupied + k_i 2^{k_i})
+/// rather than |F| * #occupied. With integer counts every partial sum is
+/// exact, and the result is bit-identical to
+/// SparseCounts::FourierCoefficient(beta).
+linalg::Vector FourierCoefficientsFromMarginals(
+    const data::SparseCounts& data, const marginal::Workload& workload,
+    const marginal::FourierIndex& index);
+
 class FourierStrategy : public MarginalStrategy {
  public:
   /// `query_weights`: per-marginal importance a >= 0 in the objective

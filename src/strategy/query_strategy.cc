@@ -19,9 +19,9 @@ QueryStrategy::QueryStrategy(marginal::Workload workload,
          query_weights.size() == workload_.num_marginals());
   const auto start = std::chrono::steady_clock::now();
   // Per-marginal scoring writes only its own pre-sized slot, so the
-  // fan-out is schedule- and thread-count-invariant. The body is a few
-  // ns of arithmetic, so the grain keeps everything below ~4k marginals
-  // inline (single chunk) and forks only for genuinely large workloads.
+  // fan-out is thread-count-invariant. The body is a few ns of
+  // arithmetic, so the grain keeps everything below ~4k marginals inline
+  // (single chunk) and forks only for genuinely large workloads.
   const std::size_t num_marginals = workload_.num_marginals();
   groups_.assign(num_marginals, budget::GroupSummary{});
   ThreadPool::Shared().ParallelFor(0, num_marginals, 4096, [&](std::size_t i) {

@@ -27,7 +27,7 @@ int Log2OfPowerOfTwo(std::size_t n) {
   return std::countr_zero(n);
 }
 
-void WalshHadamard(std::vector<double>* x) {
+void UnnormalisedWalshHadamard(std::vector<double>* x) {
   const std::size_t n = x->size();
   assert(IsPowerOfTwo(n));
   std::vector<double>& v = *x;
@@ -72,9 +72,16 @@ void WalshHadamard(std::vector<double>* x) {
       }
     }
   }
+}
+
+void WalshHadamard(std::vector<double>* x) {
+  UnnormalisedWalshHadamard(x);
   // Orthonormal scaling 2^{-d/2}.
+  const std::size_t n = x->size();
+  std::vector<double>& v = *x;
+  ThreadPool& pool = ThreadPool::Shared();
   const double scale = 1.0 / std::sqrt(static_cast<double>(n));
-  if (parallel) {
+  if (n >= kParallelCutoff && pool.parallelism() > 1) {
     pool.ParallelForBlocks(0, n, std::size_t{1} << 14,
                            [&v, scale](std::size_t lo, std::size_t hi) {
                              for (std::size_t i = lo; i < hi; ++i) {

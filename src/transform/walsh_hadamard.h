@@ -23,6 +23,11 @@ namespace transform {
 /// a power of two). O(N log N). Involution: WHT(WHT(x)) == x.
 void WalshHadamard(std::vector<double>* x);
 
+/// The same butterflies without the 2^{-d/2} scaling: entry beta becomes
+/// sum_cell (-1)^{<beta, cell>} x[cell]. Only sums and differences are
+/// taken, so integer inputs below 2^53 transform exactly.
+void UnnormalisedWalshHadamard(std::vector<double>* x);
+
 /// Out-of-place convenience wrapper.
 std::vector<double> WalshHadamardCopy(std::vector<double> x);
 

@@ -2,21 +2,17 @@
 
 #include "common/thread_pool.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <future>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/sync.h"
 
 namespace dpcube {
 namespace {
@@ -110,142 +106,17 @@ TEST(ThreadPoolTest, ConcurrentLoopsFromManyCallersInterleave) {
   EXPECT_EQ(total.load(), 4L * 20 * 500);
 }
 
-// ---------------------------------------------------------------------
-// Work-stealing schedule.
-
-TEST(WorkStealingTest, VisitsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr std::size_t kN = 10000;
-  std::vector<std::atomic<int>> visits(kN);
-  pool.ParallelFor(
-      0, kN, 7, [&](std::size_t i) { visits[i]++; },
-      ThreadPool::Schedule::kWorkStealing);
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(visits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(WorkStealingTest, BlocksPartitionIdenticallyToFifo) {
-  // The chunk partition is schedule-independent: record the (lo, hi)
-  // pairs each schedule produces and compare them as sorted sets.
-  ThreadPool pool(3);
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> partitions;
-  for (const auto schedule : {ThreadPool::Schedule::kFifo,
-                              ThreadPool::Schedule::kWorkStealing}) {
-    std::vector<std::atomic<int>> visits(1000);
-    std::atomic<int> undersized_chunks{0};
-    sync::Mutex chunks_mu;
-    std::vector<std::pair<std::size_t, std::size_t>> chunks;
-    pool.ParallelForBlocks(
-        100, 1000, 64,
-        [&](std::size_t lo, std::size_t hi) {
-          ASSERT_LT(lo, hi);
-          if (hi - lo < 64u) undersized_chunks++;
-          for (std::size_t i = lo; i < hi; ++i) visits[i]++;
-          sync::MutexLock lock(&chunks_mu);
-          chunks.emplace_back(lo, hi);
-        },
-        schedule);
-    EXPECT_LE(undersized_chunks.load(), 1);
-    for (std::size_t i = 0; i < 1000; ++i) {
-      ASSERT_EQ(visits[i].load(), i >= 100 ? 1 : 0) << "index " << i;
-    }
-    std::sort(chunks.begin(), chunks.end());
-    partitions.push_back(std::move(chunks));
-  }
-  EXPECT_EQ(partitions[0], partitions[1])
-      << "FIFO and work-stealing must chunk a loop identically";
-}
-
-// The defining property of the steal path: chunks seeded into a
-// participant's deque behind a long-running chunk must be executed by
-// OTHER participants. Index 0 (the caller's first chunk) refuses to
-// finish until every other index has run — if nothing stole the
-// caller's remaining chunks, the loop could never complete and the test
-// would time out.
-TEST(WorkStealingTest, StealsFromABlockedOwner) {
-  ThreadPool pool(4);
-  constexpr std::size_t kN = 32;
-  std::atomic<std::size_t> others_done{0};
-  std::vector<std::atomic<int>> visits(kN);
-  pool.ParallelFor(
-      0, kN, 1,
-      [&](std::size_t i) {
-        visits[i]++;
-        if (i == 0) {
-          while (others_done.load() < kN - 1) std::this_thread::yield();
-        } else {
-          others_done++;
-        }
-      },
-      ThreadPool::Schedule::kWorkStealing);
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(visits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(WorkStealingTest, StructuredJoinUnderImbalance) {
-  // One task ~100x the others (the cluster search's cost profile): the
-  // join must still cover every chunk, and every index runs exactly once
-  // even while idle participants are stealing aggressively.
-  ThreadPool pool(8);
-  constexpr std::size_t kN = 256;
-  std::vector<std::atomic<int>> visits(kN);
-  std::atomic<long> slow_work{0};
-  pool.ParallelFor(
-      0, kN, 1,
-      [&](std::size_t i) {
-        visits[i]++;
-        long spins = (i == 0) ? 100000 : 1000;
-        long acc = 0;
-        for (long s = 0; s < spins; ++s) acc += s;
-        slow_work += acc;
-      },
-      ThreadPool::Schedule::kWorkStealing);
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(visits[i].load(), 1) << "index " << i;
-  }
-}
-
-// Regression: the steal path once seeded the per-participant deques
-// WITHOUT their locks, relying on Submit()'s fence to publish them —
-// correct only while seeding strictly precedes every helper submit. The
-// thread-safety annotations flagged the unguarded writes and seeding now
-// happens under each deque's mutex, so the exactly-once guarantee is
-// carried by the locks rather than by call ordering. This hammers the
-// smallest chunks (maximum steal pressure, every deque mutated by
-// several participants) across repeated rounds: any re-introduced
-// unlocked publication shows up as a lost or double-run chunk.
-TEST(WorkStealingTest, SeededChunksSurviveMaximalStealChurn) {
-  ThreadPool pool(8);
-  constexpr std::size_t kN = 64;   // Chunk count ≈ participant count,
-  constexpr int kRounds = 200;     // so most deques get stolen from.
-  for (int round = 0; round < kRounds; ++round) {
-    std::vector<std::atomic<int>> visits(kN);
-    pool.ParallelFor(
-        0, kN, 1, [&](std::size_t i) { visits[i]++; },
-        ThreadPool::Schedule::kWorkStealing);
-    for (std::size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(visits[i].load(), 1)
-          << "round " << round << " index " << i;
-    }
-  }
-}
-
-TEST(WorkStealingTest, ExceptionPropagatesAfterFullJoin) {
+TEST(ThreadPoolTest, ExceptionPropagatesAfterFullJoin) {
   ThreadPool pool(4);
   constexpr std::size_t kN = 500;
   std::vector<std::atomic<int>> visits(kN);
   try {
-    pool.ParallelForBlocks(
-        0, kN, 1,
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) visits[i]++;
-          if (lo <= 137 && 137 < hi) {
-            throw std::runtime_error("chunk with index 137 failed");
-          }
-        },
-        ThreadPool::Schedule::kWorkStealing);
+    pool.ParallelForBlocks(0, kN, 1, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) visits[i]++;
+      if (lo <= 137 && 137 < hi) {
+        throw std::runtime_error("chunk with index 137 failed");
+      }
+    });
     FAIL() << "expected the body's exception to propagate";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "chunk with index 137 failed");
@@ -257,67 +128,31 @@ TEST(WorkStealingTest, ExceptionPropagatesAfterFullJoin) {
   }
 }
 
-TEST(WorkStealingTest, NestedStealingLoopsDoNotDeadlock) {
-  ThreadPool pool(2);  // Fewer threads than outstanding loops.
-  std::atomic<int> total{0};
-  pool.ParallelFor(
-      0, 8, 1,
-      [&](std::size_t) {
-        pool.ParallelFor(
-            0, 8, 1, [&](std::size_t) { total++; },
-            ThreadPool::Schedule::kWorkStealing);
-      },
-      ThreadPool::Schedule::kWorkStealing);
-  EXPECT_EQ(total.load(), 64);
-}
-
-TEST(WorkStealingTest, DefaultScheduleKnobResolvesAuto) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.default_schedule(), ThreadPool::Schedule::kFifo);
-  pool.set_default_schedule(ThreadPool::Schedule::kAuto);  // Ignored.
-  EXPECT_EQ(pool.default_schedule(), ThreadPool::Schedule::kFifo);
-  pool.set_default_schedule(ThreadPool::Schedule::kWorkStealing);
-  EXPECT_EQ(pool.default_schedule(), ThreadPool::Schedule::kWorkStealing);
-  // kAuto loops run under the new default and stay correct.
-  std::vector<std::atomic<int>> visits(2000);
-  pool.ParallelFor(0, 2000, 3, [&](std::size_t i) { visits[i]++; });
-  for (std::size_t i = 0; i < 2000; ++i) {
-    ASSERT_EQ(visits[i].load(), 1) << "index " << i;
-  }
-}
-
 // The determinism contract under imbalance: per-index outputs derived
-// from Rng::Stream must be bit-identical across pool sizes and both
-// schedules even when one task costs ~100x the others and every steal
-// pattern differs run to run.
-TEST(WorkStealingTest, ImbalancedCostOutputsAreBitIdentical) {
+// from Rng::Stream must be bit-identical across pool sizes even when one
+// task costs ~100x the others.
+TEST(ThreadPoolTest, ImbalancedCostOutputsAreBitIdentical) {
   constexpr std::size_t kN = 400;
   constexpr std::uint64_t kBase = 0xfeedfacecafebeefULL;
-  auto run = [&](int parallelism, ThreadPool::Schedule schedule) {
+  auto run = [&](int parallelism) {
     ThreadPool pool(parallelism);
     std::vector<double> out(kN, 0.0);
-    pool.ParallelFor(
-        0, kN, 1,
-        [&](std::size_t i) {
-          Rng rng = Rng::Stream(kBase, i);
-          const int draws = (i == 0) ? 10000 : 100;  // 100x imbalance.
-          double acc = 0.0;
-          for (int s = 0; s < draws; ++s) acc += rng.NextGaussian();
-          out[i] = acc;
-        },
-        schedule);
+    pool.ParallelFor(0, kN, 1, [&](std::size_t i) {
+      Rng rng = Rng::Stream(kBase, i);
+      const int draws = (i == 0) ? 10000 : 100;  // 100x imbalance.
+      double acc = 0.0;
+      for (int s = 0; s < draws; ++s) acc += rng.NextGaussian();
+      out[i] = acc;
+    });
     return out;
   };
-  const std::vector<double> base = run(1, ThreadPool::Schedule::kFifo);
+  const std::vector<double> base = run(1);
   for (const int parallelism : {2, 8}) {
-    for (const auto schedule : {ThreadPool::Schedule::kFifo,
-                                ThreadPool::Schedule::kWorkStealing}) {
-      const std::vector<double> got = run(parallelism, schedule);
-      ASSERT_EQ(base.size(), got.size());
-      for (std::size_t i = 0; i < kN; ++i) {
-        ASSERT_EQ(std::memcmp(&base[i], &got[i], sizeof(double)), 0)
-            << "index " << i << " at parallelism " << parallelism;
-      }
+    const std::vector<double> got = run(parallelism);
+    ASSERT_EQ(base.size(), got.size());
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(std::memcmp(&base[i], &got[i], sizeof(double)), 0)
+          << "index " << i << " at parallelism " << parallelism;
     }
   }
 }

@@ -137,9 +137,8 @@ TEST(GoldenReleaseTest, MixedQ1QueryConsistent) {
 }
 
 // Pins the C strategy's released bytes, clustering search included: the
-// parallel candidate-merge scan (work-stealing schedule, argmin
-// tie-broken by pair index) must keep choosing exactly the centroids the
-// sequential search chose, or this snapshot drifts.
+// incremental merge scoring must keep choosing exactly the centroids the
+// exhaustive search chose, or this snapshot drifts.
 TEST(GoldenReleaseTest, MixedQ2ClusterOptimal) {
   Rng data_rng(13);
   const data::Schema schema({{"a", 4}, {"b", 2}, {"c", 8}});

@@ -32,27 +32,20 @@ namespace dpcube {
 namespace engine {
 namespace {
 
-// Every configuration a release must be bit-identical across: pool sizes
-// 1/2/8 under the FIFO schedule, plus the multi-thread points again under
-// work-stealing (sequential execution is schedule-blind, so (1, steal)
-// would duplicate the baseline).
+// Every pool size a release must be bit-identical across.
 struct PoolConfig {
   int parallelism;
-  ThreadPool::Schedule schedule;
   const char* tag;
 };
 constexpr PoolConfig kPoolConfigs[] = {
-    {1, ThreadPool::Schedule::kFifo, "p1_fifo"},
-    {2, ThreadPool::Schedule::kFifo, "p2_fifo"},
-    {8, ThreadPool::Schedule::kFifo, "p8_fifo"},
-    {2, ThreadPool::Schedule::kWorkStealing, "p2_steal"},
-    {8, ThreadPool::Schedule::kWorkStealing, "p8_steal"},
+    {1, "p1"},
+    {2, "p2"},
+    {8, "p8"},
 };
 constexpr std::uint64_t kSeed = 20260729;
 
 void UsePool(const PoolConfig& config) {
   ThreadPool::ResetSharedPoolForTests(config.parallelism);
-  ThreadPool::Shared().set_default_schedule(config.schedule);
 }
 
 struct ReleaseArtifacts {
@@ -158,7 +151,6 @@ class ParallelDeterminismTest : public ::testing::Test {
  protected:
   ~ParallelDeterminismTest() override {
     ThreadPool::ResetSharedPoolForTests(2);  // Don't serialise later tests.
-    ThreadPool::Shared().set_default_schedule(ThreadPool::Schedule::kFifo);
   }
 };
 
@@ -193,10 +185,8 @@ TEST_F(ParallelDeterminismTest, MixedSchemaQueryAndCluster) {
   CheckStrategy<strategy::ClusterStrategy>(dataset, w, "mixed_C");
 }
 
-// Strategy construction in isolation: the clustering search now fans its
-// candidate-merge evaluations out under the work-stealing schedule, and
-// the chosen centroids/covers must not depend on the pool configuration
-// (argmin with index tie-break, not first-done-wins).
+// Strategy construction in isolation: the chosen centroids/covers must
+// not depend on the pool size.
 TEST_F(ParallelDeterminismTest, ClusterConstructionBitIdentical) {
   const data::Schema schema({{"a", 4}, {"b", 2}, {"c", 8}, {"e", 3}});
   const marginal::Workload w = marginal::WorkloadQk(schema, 2);
@@ -210,33 +200,6 @@ TEST_F(ParallelDeterminismTest, ClusterConstructionBitIdentical) {
         << "centroids drifted @" << kPoolConfigs[c].tag;
     ASSERT_EQ(base.cover_of(), other.cover_of())
         << "covers drifted @" << kPoolConfigs[c].tag;
-  }
-}
-
-// The blocked occupied-cell scan inside SparseCounts::FourierCoefficient
-// (single huge cuboid): above the parallel cutoff the block partition is
-// fixed, so the coefficient must be bit-identical at every pool size and
-// schedule.
-TEST_F(ParallelDeterminismTest, SparseFourierCoefficientBlockedScan) {
-  Rng rng(5);
-  const data::Dataset dataset = data::MakeNltcsLike(120000, &rng);
-  UsePool(kPoolConfigs[0]);
-  const data::SparseCounts counts = data::SparseCounts::FromDataset(dataset);
-  // The scan must actually cross the parallel cutoff (1 << 14 occupied
-  // cells) or this test exercises nothing.
-  ASSERT_GT(counts.num_occupied(), std::size_t{1} << 14);
-  const bits::Mask masks[] = {0x0, 0x1, 0x03, 0x15, 0x842, 0xffff};
-  double base[std::size(masks)];
-  for (std::size_t m = 0; m < std::size(masks); ++m) {
-    base[m] = counts.FourierCoefficient(masks[m]);
-  }
-  for (std::size_t c = 1; c < std::size(kPoolConfigs); ++c) {
-    UsePool(kPoolConfigs[c]);
-    for (std::size_t m = 0; m < std::size(masks); ++m) {
-      const double got = counts.FourierCoefficient(masks[m]);
-      ASSERT_TRUE(BitIdentical(base[m], got))
-          << "mask " << masks[m] << " @" << kPoolConfigs[c].tag;
-    }
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include "marginal/marginal_table.h"
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -70,6 +74,63 @@ TEST(MarginalTableTest, DenseAndSparseAgree) {
     ASSERT_EQ(from_dense.num_cells(), from_sparse.num_cells());
     for (std::size_t g = 0; g < from_dense.num_cells(); ++g) {
       EXPECT_DOUBLE_EQ(from_dense.value(g), from_sparse.value(g));
+    }
+  }
+}
+
+// The per-cell CompressFromMask loop that ComputeMarginal's byte tables
+// replace.
+MarginalTable CompressOracle(const data::SparseCounts& counts,
+                             bits::Mask alpha) {
+  MarginalTable out(alpha, counts.d());
+  for (const auto& entry : counts.entries()) {
+    out.value(bits::CompressFromMask(entry.cell, alpha)) += entry.count;
+  }
+  return out;
+}
+
+bits::Mask RandomMask(int d, int k, Rng* rng) {
+  bits::Mask alpha = 0;
+  while (bits::Popcount(alpha) < k) {
+    alpha |= bits::Mask{1} << rng->NextBounded(d);
+  }
+  return alpha;
+}
+
+TEST(MarginalTableTest, ByteTablesMatchCompressFromMask) {
+  Rng rng(5);
+  // d = 60: masks reach bits far above 32 and straddle byte boundaries.
+  std::vector<data::Attribute> attrs;
+  for (int a = 0; a < 7; ++a) attrs.push_back({"a" + std::to_string(a), 256});
+  attrs.push_back({"tail", 16});
+  const data::Schema wide(std::move(attrs));
+  ASSERT_EQ(wide.TotalBits(), 60);
+  const data::SparseCounts wide_counts =
+      data::SparseCounts::FromDataset(data::MakeUniform(wide, 5000, &rng));
+  const data::SparseCounts narrow_counts = data::SparseCounts::FromDataset(
+      data::MakeUniform(data::BinarySchema(12), 3000, &rng));
+  auto dense = narrow_counts.ToDense();
+  ASSERT_TRUE(dense.ok());
+  for (int trial = 0; trial < 200; ++trial) {
+    const bool use_wide = trial % 2 == 0;
+    const data::SparseCounts& counts = use_wide ? wide_counts : narrow_counts;
+    const int k = static_cast<int>(rng.NextBounded(13));
+    bits::Mask alpha = RandomMask(counts.d(), k, &rng);
+    if (trial == 0) alpha = bits::Mask{0xff} << 52;  // Only bits above 32.
+    if (trial == 2) alpha = 0;
+    const MarginalTable want = CompressOracle(counts, alpha);
+    const MarginalTable got = ComputeMarginal(counts, alpha);
+    ASSERT_EQ(got.num_cells(), want.num_cells());
+    ASSERT_EQ(std::memcmp(got.values().data(), want.values().data(),
+                          want.num_cells() * sizeof(double)),
+              0)
+        << "d=" << counts.d() << " alpha=" << alpha;
+    if (!use_wide) {
+      const MarginalTable from_dense = ComputeMarginal(dense.value(), alpha);
+      ASSERT_EQ(std::memcmp(from_dense.values().data(), want.values().data(),
+                            want.num_cells() * sizeof(double)),
+                0)
+          << "dense alpha=" << alpha;
     }
   }
 }

@@ -407,6 +407,31 @@ TEST(DurableStateTest, MissingCsvIsSkippedNotFatal) {
   EXPECT_EQ(ledger[0].second, 1u);
 }
 
+TEST(DurableStateTest, MalformedCsvIsSkippedNotFatal) {
+  const std::string dir = FreshDir("ds_garbled");
+  const std::string csv = WriteReleaseFixture("ds_garbled.csv");
+  {
+    World world;
+    auto opened =
+        DurableState::Open(Options(dir, 1024, 0), world.store, world.service);
+    ASSERT_TRUE(opened.ok());
+    ASSERT_TRUE((*opened)->Apply(Mutation::LoadRelease("r", csv)).ok());
+  }
+  // A signed mask, which must not wrap to a 2^61-cell marginal: boot
+  // drops the release instead of throwing.
+  {
+    std::ofstream garble(csv, std::ios::trunc);
+    garble << "# dpcube-release d=4\nmask,cell,value\n-8,1,1.5\n";
+  }
+  World world;
+  auto reopened =
+      DurableState::Open(Options(dir, 1024, 0), world.store, world.service);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->replay_summary().skipped_releases, 1u);
+  EXPECT_FALSE(world.store->Get("r").ok());
+  std::remove(csv.c_str());
+}
+
 // Replay determinism: N threads hammer concurrent charges, then a
 // reboot must reconstruct the exact same ledger and durable statusz
 // block regardless of how the appends interleaved.

@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -135,6 +138,130 @@ TEST(ClusterStrategyTest, PredictedCostNeverIncreasedByClustering) {
                           strat.materialized().size()) *
       end_spread;
   EXPECT_LE(end_cost, start_cost + 1e-9);
+}
+
+// The exhaustive merge search the clustering used before scoring merges
+// incrementally: every round rebuilds the centroid set of every pair merge,
+// re-covers every query, prunes stranded centroids and keeps the cheapest
+// merge, ties to the first pair in (i outer, j inner) order.
+struct ReferenceClustering {
+  explicit ReferenceClustering(const marginal::Workload& workload)
+      : w(workload) {
+    std::set<bits::Mask> unique(w.masks().begin(), w.masks().end());
+    materialized.assign(unique.begin(), unique.end());
+    AssignCovers(materialized, &cover_of);
+    double cost = Cost(materialized, cover_of);
+    bool improved = true;
+    while (improved && materialized.size() > 1) {
+      improved = false;
+      double best_cost = cost;
+      std::vector<bits::Mask> best_centroids;
+      std::vector<std::size_t> best_cover;
+      for (std::size_t i = 0; i < materialized.size(); ++i) {
+        for (std::size_t j = i + 1; j < materialized.size(); ++j) {
+          std::set<bits::Mask> merged(materialized.begin(),
+                                      materialized.end());
+          merged.erase(materialized[i]);
+          merged.erase(materialized[j]);
+          merged.insert(materialized[i] | materialized[j]);
+          std::vector<bits::Mask> candidate(merged.begin(), merged.end());
+          std::vector<std::size_t> cover;
+          AssignCovers(candidate, &cover);
+          std::vector<bool> used(candidate.size(), false);
+          for (std::size_t c : cover) used[c] = true;
+          std::vector<bits::Mask> pruned;
+          for (std::size_t m = 0; m < candidate.size(); ++m) {
+            if (used[m]) pruned.push_back(candidate[m]);
+          }
+          AssignCovers(pruned, &cover);
+          const double c = Cost(pruned, cover);
+          if (c < best_cost) {
+            best_cost = c;
+            best_centroids = std::move(pruned);
+            best_cover = std::move(cover);
+          }
+        }
+      }
+      if (!best_centroids.empty()) {
+        materialized = std::move(best_centroids);
+        cover_of = std::move(best_cover);
+        cost = best_cost;
+        improved = true;
+      }
+    }
+  }
+
+  void AssignCovers(const std::vector<bits::Mask>& centroids,
+                    std::vector<std::size_t>* cover) const {
+    cover->assign(w.num_marginals(), 0);
+    for (std::size_t q = 0; q < w.num_marginals(); ++q) {
+      int best_width = 65;
+      for (std::size_t m = 0; m < centroids.size(); ++m) {
+        if (!bits::IsSubset(w.mask(q), centroids[m])) continue;
+        if (bits::Popcount(centroids[m]) < best_width) {
+          best_width = bits::Popcount(centroids[m]);
+          (*cover)[q] = m;
+        }
+      }
+    }
+  }
+
+  static double Cost(const std::vector<bits::Mask>& centroids,
+                     const std::vector<std::size_t>& cover) {
+    double spread = 0.0;
+    for (std::size_t c : cover) {
+      spread += std::pow(2.0, bits::Popcount(centroids[c]));
+    }
+    const double m = static_cast<double>(centroids.size());
+    return m * m * spread;
+  }
+
+  const marginal::Workload& w;
+  std::vector<bits::Mask> materialized;
+  std::vector<std::size_t> cover_of;
+};
+
+void ExpectSameClustering(const marginal::Workload& w,
+                          const std::string& what) {
+  const ReferenceClustering reference(w);
+  const ClusterStrategy strat(w);
+  EXPECT_EQ(strat.materialized(), reference.materialized) << what;
+  EXPECT_EQ(strat.cover_of(), reference.cover_of) << what;
+}
+
+TEST(ClusterStrategyTest, IncrementalSearchMatchesExhaustiveSearch) {
+  const data::Schema adult = data::AdultSchema();
+  for (const char* name : {"Q1", "Q2", "Q3", "Q4", "Q2*", "Q3*"}) {
+    ExpectSameClustering(marginal::WorkloadByName(adult, name).value(),
+                         std::string("adult ") + name);
+  }
+  for (const auto& [d, k] : std::vector<std::pair<int, int>>{
+           {12, 1}, {12, 2}, {12, 10}, {12, 11}, {16, 1}, {16, 15}}) {
+    ExpectSameClustering(
+        marginal::AllKWayBits(d, k),
+        std::to_string(d) + "-bit " + std::to_string(k) + "-way");
+  }
+  // Random workloads with duplicate and nested masks.
+  Rng rng(2026);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int d = 4 + static_cast<int>(rng.NextBounded(13));
+    std::vector<bits::Mask> masks;
+    const std::size_t n = 2 + rng.NextBounded(24);
+    while (masks.size() < n) {
+      const std::uint64_t kind = rng.NextBounded(4);
+      if (kind == 0 && !masks.empty()) {  // Duplicate.
+        masks.push_back(masks[rng.NextBounded(masks.size())]);
+      } else if (kind == 1 && !masks.empty()) {  // Nested.
+        masks.push_back(masks[rng.NextBounded(masks.size())] &
+                        rng.NextUint64());
+      } else {  // Sparse random mask.
+        masks.push_back(rng.NextUint64() & rng.NextUint64() &
+                        bits::FullMask(d));
+      }
+    }
+    ExpectSameClustering(marginal::Workload(d, std::move(masks)),
+                         "random trial " + std::to_string(trial));
+  }
 }
 
 TEST(ClusterStrategyTest, RejectsBudgetMismatch) {

@@ -2,7 +2,11 @@
 
 #include "strategy/fourier_strategy.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +14,7 @@
 #include "common/stats.h"
 #include "data/synthetic.h"
 #include "dp/privacy.h"
+#include "marginal/fourier_index.h"
 #include "marginal/query_matrix.h"
 
 namespace dpcube {
@@ -128,6 +133,70 @@ TEST(FourierStrategyTest, OptimalBudgetsBeatUniformOnMixedOrders) {
   ASSERT_TRUE(uni.ok());
   EXPECT_LT(opt.value().variance_objective,
             0.95 * uni.value().variance_objective);
+}
+
+// Random workload over d bits: masks of weight 0..max_k, with the empty
+// mask, duplicates and nested masks mixed in.
+marginal::Workload RandomWorkload(int d, int max_k, std::size_t n, Rng* rng) {
+  std::vector<bits::Mask> masks = {0};
+  while (masks.size() < n) {
+    const std::uint64_t kind = rng->NextBounded(4);
+    if (kind == 0) {
+      masks.push_back(masks[rng->NextBounded(masks.size())]);
+    } else if (kind == 1) {
+      masks.push_back(masks[rng->NextBounded(masks.size())] &
+                      rng->NextUint64());
+    } else {
+      bits::Mask alpha = 0;
+      const int k = static_cast<int>(rng->NextBounded(max_k + 1));
+      while (bits::Popcount(alpha) < k) {
+        alpha |= bits::Mask{1} << rng->NextBounded(d);
+      }
+      masks.push_back(alpha);
+    }
+  }
+  return marginal::Workload(d, std::move(masks));
+}
+
+void ExpectCoefficientsMatchScan(const data::SparseCounts& counts,
+                                 const marginal::Workload& w,
+                                 const std::string& what) {
+  const marginal::FourierIndex index(w);
+  const linalg::Vector got = FourierCoefficientsFromMarginals(counts, w, index);
+  ASSERT_EQ(got.size(), index.size()) << what;
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    const double want = counts.FourierCoefficient(index.mask(i));
+    ASSERT_EQ(std::memcmp(&got[i], &want, sizeof(double)), 0)
+        << what << " beta=" << index.mask(i) << " got " << got[i]
+        << " want " << want;
+  }
+}
+
+TEST(FourierStrategyTest, MarginalFirstCoefficientsEqualTheScanBitForBit) {
+  Rng rng(11);
+  for (const int d : {5, 8, 11, 12}) {
+    const data::Dataset ds =
+        data::MakeUniform(data::BinarySchema(d), 3000, &rng);
+    const data::SparseCounts counts = data::SparseCounts::FromDataset(ds);
+    for (int trial = 0; trial < 4; ++trial) {
+      ExpectCoefficientsMatchScan(
+          counts, RandomWorkload(d, std::min(d, 7), 12, &rng),
+          "d=" + std::to_string(d) + " trial " + std::to_string(trial));
+    }
+  }
+  // Adult-like attributes, d = 23.
+  const data::Dataset adult = data::MakeAdultLike(2000, &rng);
+  const data::SparseCounts adult_counts =
+      data::SparseCounts::FromDataset(adult);
+  ExpectCoefficientsMatchScan(
+      adult_counts, marginal::WorkloadQkStar(adult.schema(), 2), "adult Q2*");
+  // More than 2^14 occupied cells, odd d.
+  const data::Dataset wide =
+      data::MakeUniform(data::BinarySchema(17), 60000, &rng);
+  const data::SparseCounts wide_counts = data::SparseCounts::FromDataset(wide);
+  ASSERT_GT(wide_counts.num_occupied(), std::size_t{1} << 14);
+  ExpectCoefficientsMatchScan(wide_counts, RandomWorkload(17, 6, 10, &rng),
+                              "d=17, 2^14+ cells");
 }
 
 TEST(FourierStrategyTest, RunRejectsBadBudgets) {
